@@ -1,13 +1,12 @@
-// B15 — Group-commit WAL pipeline (DESIGN.md §4B).
+// B15 — Leader-follower group commit on the WAL (DESIGN.md §4B).
 //
 // Question: with a real file behind the log and force-log-at-commit on,
 // what commit throughput do N concurrent committers get, and how many
-// fsyncs does each commit cost? Baseline: FlushMode::kSynchronous — the
-// pre-pipeline behaviour of one inline pwrite+fsync per commit group,
-// performed under the log mutex. The grouped mode hands the write to
-// the flusher thread, which batches every pending committer onto one
-// fsync; the relaxed variant additionally acks commits without waiting
-// for durability at all.
+// fsyncs does each commit cost? Baseline: one committer thread, which
+// leads every flush itself — one pwrite+fsync per commit. With more
+// committers, those arriving while a leader fsyncs follow it and share
+// the next batch's fsync; the relaxed variant acks commits without
+// waiting for a flush already in progress.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -23,9 +22,8 @@ namespace asset::bench {
 namespace {
 
 // Mode axis for the benchmark (state.range(0)).
-constexpr int kSyncStrict = 0;     // kSynchronous + strict (baseline)
-constexpr int kGroupedStrict = 1;  // flusher thread, commit waits durable
-constexpr int kGroupedRelaxed = 2; // flusher thread, commit acks early
+constexpr int kStrict = 0;   // commit waits until its record is durable
+constexpr int kRelaxed = 1;  // commit acks once its record is queued
 
 /// A file-backed variant of BenchKernel: pages stay in memory (we are
 /// measuring the log path, not page I/O), but the WAL is attached to a
@@ -33,9 +31,7 @@ constexpr int kGroupedRelaxed = 2; // flusher thread, commit acks early
 class WalBenchKernel {
  public:
   explicit WalBenchKernel(int mode)
-      : log_(mode == kSyncStrict ? LogManager::FlushMode::kSynchronous
-                                 : LogManager::FlushMode::kGrouped),
-        pool_(&disk_, 4096, &log_),
+      : pool_(&disk_, 4096, &log_),
         store_(&pool_) {
     static std::atomic<uint64_t> counter{0};
     path_ = "/tmp/asset_bench_wal_" + std::to_string(::getpid()) + "_" +
@@ -45,8 +41,8 @@ class WalBenchKernel {
     store_.Open().ok();
     TransactionManager::Options o;
     o.force_log_at_commit = true;
-    o.durability = mode == kGroupedRelaxed ? DurabilityPolicy::kRelaxed
-                                           : DurabilityPolicy::kStrict;
+    o.durability = mode == kRelaxed ? DurabilityPolicy::kRelaxed
+                                    : DurabilityPolicy::kStrict;
     o.lock.lock_timeout = std::chrono::milliseconds(30000);
     o.commit_timeout = std::chrono::milliseconds(60000);
     o.max_transactions = 1 << 20;
@@ -125,10 +121,9 @@ void BM_Commit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Commit)
-    ->ArgName("mode")  // 0 = sync baseline, 1 = grouped, 2 = relaxed
-    ->Arg(kSyncStrict)
-    ->Arg(kGroupedStrict)
-    ->Arg(kGroupedRelaxed)
+    ->ArgName("mode")  // 0 = strict, 1 = relaxed
+    ->Arg(kStrict)
+    ->Arg(kRelaxed)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

@@ -132,7 +132,10 @@ int main() {
                                catalog.Lookup(self, "revenue_cents").value())
                     .value());
     int64_t total_stock = 0;
-    for (auto& entry : index.Range(self, 1000, 1015).value()) {
+    // Name the range: a range-for over a temporary's value() would
+    // iterate a vector destroyed with the temporary Result.
+    const auto entries = index.Range(self, 1000, 1015).value();
+    for (const auto& entry : entries) {
       auto item = db->Get<Item>(entry.value, self).value();
       total_stock += item.stock;
     }

@@ -6,7 +6,7 @@
 /// kernel events, drainable as Chrome trace_event JSON.
 ///
 /// Every instrumented layer (transaction lifecycle, lock waits, WAL
-/// flusher, checkpointer) calls Emit(); when tracing is disabled the
+/// flushes, checkpointer) calls Emit(); when tracing is disabled the
 /// whole call is one relaxed atomic load and a branch, so instrumented
 /// hot paths cost effectively nothing in production. When enabled, an
 /// event is written into the calling thread's private ring with relaxed

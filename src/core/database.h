@@ -393,10 +393,10 @@ class Database {
   /// call with transactions running.
   Status Checkpoint();
 
-  /// Blocks until every appended WAL record is durable (one piggybacked
-  /// flusher batch). Under DurabilityPolicy::kRelaxed this is the
-  /// explicit sync point: an OK return means every commit acked before
-  /// this call is crash-safe. Surfaces the log's sticky I/O error.
+  /// Blocks until every appended WAL record is durable (leading or
+  /// following one group-commit batch). Under DurabilityPolicy::kRelaxed
+  /// this is the explicit sync point: an OK return means every commit
+  /// acked before this call is crash-safe. Surfaces the log's sticky I/O error.
   Status SyncWal() { return log_.Flush(); }
 
   /// Simulates a crash and runs recovery: tears down the kernel, drops

@@ -62,8 +62,9 @@ namespace asset {
   /* WAL / durability-pipeline economy. The log bumps appends, fsyncs,    \
      and records_flushed through the WalStatsSink the                     \
      TransactionManager binds; commit_stalls is bumped by the commit      \
-     path when a strict-durability ack actually had to sleep for the      \
-     flusher. Fewer fsyncs than commits == group commit is working. */     \
+     path when a strict-durability ack found its record not yet durable   \
+     and had to lead or follow a flush. Fewer fsyncs than commits ==      \
+     group commit is working. */                                          \
   X(wal, wal_appends, appends)                                             \
   X(wal, wal_fsyncs, fsyncs)                                               \
   X(wal, wal_records_flushed, records_flushed)                             \

@@ -61,8 +61,8 @@ TransactionManager::~TransactionManager() {
     }
     sync_.cv.wait(lk, [&] { return live_threads_ == 0; });
   }
-  // Detach the log's counters before stats_ dies; the log (and its
-  // flusher) outlives this kernel.
+  // Detach the log's counters before stats_ dies; the log outlives this
+  // kernel.
   log_->UnbindStats(WalStatsSink{&stats_.wal_appends, &stats_.wal_fsyncs,
                                  &stats_.wal_records_flushed,
                                  &stats_.wal_truncations,
@@ -80,11 +80,15 @@ TransactionDescriptor* TransactionManager::FindLocked(Tid t) const {
 
 TxnStatus TransactionManager::StatusOfLocked(Tid t) const {
   if (const TransactionDescriptor* td = FindLocked(t)) return td->status;
-  auto it = tombstones_.find(t);
-  if (it != tombstones_.end()) return it->second;
   // Unknown tids should not arise (dependencies validate both ends);
   // fail safe by treating them as aborted.
-  return TxnStatus::kAborted;
+  return TombstoneLocked(t).value_or(TxnStatus::kAborted);
+}
+
+std::optional<TxnStatus> TransactionManager::TombstoneLocked(Tid t) const {
+  if (t == kNullTid || t >= next_tid_) return std::nullopt;
+  return t < committed_.size() && committed_[t] ? TxnStatus::kCommitted
+                                                : TxnStatus::kAborted;
 }
 
 void TransactionManager::CollectLocked() {
@@ -92,7 +96,8 @@ void TransactionManager::CollectLocked() {
     TransactionDescriptor* td = it->second.get();
     if (IsTerminated(td->status) && td->thread_exited &&
         td->pins.load(std::memory_order_acquire) == 0) {
-      tombstones_.emplace(td->tid, td->status.load());
+      if (committed_.size() <= td->tid) committed_.resize(next_tid_);
+      committed_[td->tid] = td->status.load() == TxnStatus::kCommitted;
       it = txns_.erase(it);
     } else {
       ++it;
@@ -422,12 +427,12 @@ Status TransactionManager::CommitTxn(Tid t) {
       std::chrono::steady_clock::now() + options_.commit_timeout;
   TransactionDescriptor* td = FindLocked(t);
   if (td == nullptr) {
-    auto it = tombstones_.find(t);
-    if (it == tombstones_.end()) {
+    const std::optional<TxnStatus> tomb = TombstoneLocked(t);
+    if (!tomb) {
       return Status::NotFound("commit: unknown transaction " +
                               std::to_string(t));
     }
-    if (it->second == TxnStatus::kCommitted) return Status::OK();
+    if (*tomb == TxnStatus::kCommitted) return Status::OK();
     return Status::TxnAborted("transaction " + std::to_string(t) +
                               " aborted");
   }
@@ -459,7 +464,7 @@ Status TransactionManager::CommitTxn(Tid t) {
           Lsn commit_lsn = CommitGroupLocked(group);
           // The durability wait (and its fsync) happens with the kernel
           // mutex released: concurrent committers pile onto the same
-          // flusher batch instead of queueing the kernel on the disk.
+          // group-commit batch instead of queueing the kernel on the disk.
           lk.unlock();
           return ack(commit_lsn);
         }
@@ -514,10 +519,7 @@ int TransactionManager::Wait(Tid t) {
   std::unique_lock<std::mutex> lk(sync_.mu);
   TransactionDescriptor* td = FindLocked(t);
   if (td == nullptr) {
-    auto it = tombstones_.find(t);
-    return it != tombstones_.end() && it->second == TxnStatus::kCommitted
-               ? 1
-               : 0;
+    return TombstoneLocked(t) == TxnStatus::kCommitted ? 1 : 0;
   }
   TdPin pin(td);
   for (;;) {
@@ -543,8 +545,7 @@ Status TransactionManager::AbortTxn(Tid t) {
   std::unique_lock<std::mutex> lk(sync_.mu);
   TransactionDescriptor* td = FindLocked(t);
   if (td == nullptr) {
-    auto it = tombstones_.find(t);
-    if (it != tombstones_.end() && it->second == TxnStatus::kCommitted) {
+    if (TombstoneLocked(t) == TxnStatus::kCommitted) {
       return Status::IllegalState("abort: transaction " + std::to_string(t) +
                                   " already committed");
     }
@@ -655,10 +656,9 @@ Lsn TransactionManager::CommitGroupLocked(
     const std::vector<TransactionDescriptor*>& group) {
   // §4.2 commit step 4: append (only — never flush) each member's
   // commit record. Append is a short in-memory critical section; the
-  // fsync that makes these records durable belongs to the flusher
-  // thread, reached by AwaitCommitDurable after the kernel mutex is
-  // released. Holding the kernel mutex across device I/O is the exact
-  // stall this pipeline removes.
+  // fsync that makes these records durable is led by a committer in
+  // AwaitCommitDurable, after the kernel mutex is released. Holding the
+  // kernel mutex across device I/O is the exact stall this removes.
   Lsn group_lsn = kNullLsn;
   for (TransactionDescriptor* m : group) {
     LogRecord rec;
@@ -716,7 +716,7 @@ Status TransactionManager::AwaitCommitDurable(Tid t, Lsn commit_lsn) {
     return log_->RequestFlush(commit_lsn);
   }
   if (log_->durable_lsn() < commit_lsn) {
-    // The ack actually has to sleep for the flusher (vs riding a batch
+    // The ack actually has to lead or follow a flush (vs riding a batch
     // that already landed).
     stats_.commit_stalls.fetch_add(1, std::memory_order_relaxed);
     int64_t stall_start_ns = FlightRecorder::NowNs();
@@ -945,10 +945,10 @@ Status TransactionManager::FormDependency(DependencyType type, Tid ti,
   std::lock_guard<std::mutex> lk(sync_.mu);
   TxnStatus si = StatusOfLocked(ti);
   TxnStatus sj = StatusOfLocked(tj);
-  if (FindLocked(ti) == nullptr && tombstones_.count(ti) == 0) {
+  if (FindLocked(ti) == nullptr && !TombstoneLocked(ti)) {
     return Status::NotFound("form_dependency: unknown transaction ti");
   }
-  if (FindLocked(tj) == nullptr && tombstones_.count(tj) == 0) {
+  if (FindLocked(tj) == nullptr && !TombstoneLocked(tj)) {
     return Status::NotFound("form_dependency: unknown transaction tj");
   }
   if (sj == TxnStatus::kAborted || sj == TxnStatus::kAborting) {

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,14 +74,17 @@ namespace asset {
 enum class DurabilityPolicy : uint8_t {
   /// The commit call returns only once the commit record is durable
   /// (durable_lsn >= commit_lsn). The wait happens *after* the kernel
-  /// mutex is released, so concurrent committers piggyback on one
-  /// flusher fsync instead of serializing the kernel behind the disk.
+  /// mutex is released: the committer leads a WAL flush or follows the
+  /// one in progress, so concurrent committers share one fsync instead
+  /// of serializing the kernel behind the disk.
   kStrict,
   /// The commit call returns as soon as the commit is applied in
-  /// memory; it nudges the flusher (RequestFlush) but does not wait.
-  /// A crash may lose the tail of acked commits — never a prefix hole:
-  /// the flusher persists in lsn order. A sticky WAL I/O failure still
-  /// fails the ack (otherwise the lost tail would be unbounded).
+  /// memory and its record is queued for the WAL (RequestFlush): it
+  /// leads a flush only when none is in progress and never waits for
+  /// one. A crash may lose the tail of acked commits, at most one
+  /// batch — never a prefix hole: the log persists in lsn order. A
+  /// sticky WAL I/O failure still fails the ack (otherwise the lost
+  /// tail would be unbounded).
   kRelaxed,
 };
 
@@ -338,6 +342,9 @@ class TransactionManager {
 
   TransactionDescriptor* FindLocked(Tid t) const;
   TxnStatus StatusOfLocked(Tid t) const;
+  /// Terminal status of a reclaimed tid (one FindLocked found no TD
+  /// for), or nullopt if `t` was never issued.
+  std::optional<TxnStatus> TombstoneLocked(Tid t) const;
 
   /// Evaluates t's begin-dependency gate without blocking. Returns OK
   /// with *blocked=false when every begin-dependency is satisfied, OK
@@ -374,10 +381,11 @@ class TransactionManager {
   Lsn CommitGroupLocked(const std::vector<TransactionDescriptor*>& group);
 
   /// The durability side of the commit ack, run with the kernel mutex
-  /// RELEASED: no-op when the log is not forced at commit; a flusher
-  /// nudge under DurabilityPolicy::kRelaxed; a WaitDurable(commit_lsn)
-  /// sleep under kStrict. A flush failure surfaces here as the commit's
-  /// return Status (the commit is applied in memory regardless). `t` is
+  /// RELEASED: no-op when the log is not forced at commit; a no-wait
+  /// RequestFlush under DurabilityPolicy::kRelaxed; a
+  /// WaitDurable(commit_lsn) under kStrict. A flush failure surfaces
+  /// here as the commit's return Status (the commit is applied in
+  /// memory regardless). `t` is
   /// the committing transaction, for the commit-stall trace event.
   Status AwaitCommitDurable(Tid t, Lsn commit_lsn);
 
@@ -456,8 +464,10 @@ class TransactionManager {
   ThreadCache executor_;
   UndoManager undo_;
 
-  /// Terminal statuses of reclaimed TDs.
-  std::unordered_map<Tid, TxnStatus> tombstones_;
+  /// Terminal statuses of reclaimed TDs, one bit per tid (committed or
+  /// aborted). Tids are issued densely from 1, so every issued tid with
+  /// no TD left in txns_ reads its status here.
+  std::vector<bool> committed_;
   Tid next_tid_ = 1;
   size_t active_count_ = 0;        // begun, not yet terminated
   size_t live_threads_ = 0;        // threads between Begin and thread_exited

@@ -418,7 +418,7 @@ struct Server::Impl {
     c->last_activity = std::chrono::steady_clock::now();
     c->batch_arrival = c->last_activity;
     c->batch_arrival_ns = FlightRecorder::NowNs();
-    ProcessFrames(w, c);
+    ProcessFrames(c);
     if (eof && !c->closing) {
       // Whatever remains buffered is (at most) a truncated frame; the
       // peer is gone, so flush nothing more and abort its sessions.
@@ -431,7 +431,7 @@ struct Server::Impl {
 
   /// Decodes and dispatches every complete frame in `c->in`, queueing
   /// replies into `c->out` (one flush at the end = batched pipeline).
-  void ProcessFrames(Worker* w, Conn* c) {
+  void ProcessFrames(Conn* c) {
     while (!c->closing) {
       std::span<const uint8_t> buffered(c->in.data() + c->in_off,
                                         c->pending_in());

@@ -213,32 +213,36 @@ Status BufferPool::FlushPage(PageId page_id) {
 
 Status BufferPool::FlushAll() {
   std::lock_guard<std::mutex> g(mu_);
-  // One WAL force covering every dirty frame (the max watermark), then
+  ASSET_RETURN_NOT_OK(WriteBackDirtyLocked(/*unpinned_only=*/false));
+  return disk_->Sync();
+}
+
+Status BufferPool::WriteBackDirtyLocked(bool unpinned_only) {
+  // One WAL force covering every chosen frame (the max watermark), then
   // the writebacks. Any frame with an unknown watermark forces the
   // whole log.
-  bool any_dirty = false;
+  std::vector<Frame*> dirty;
   bool unknown = false;
   Lsn max_lsn = kNullLsn;
-  for (const Frame& f : frames_) {
-    if (f.page_id != kInvalidPageId && f.dirty) {
-      any_dirty = true;
+  for (Frame& f : frames_) {
+    if (f.page_id != kInvalidPageId && f.dirty &&
+        (!unpinned_only || f.pin_count == 0)) {
+      dirty.push_back(&f);
       if (f.page_lsn == kNullLsn) unknown = true;
       max_lsn = std::max(max_lsn, f.page_lsn);
     }
   }
-  if (any_dirty) {
-    ASSET_RETURN_NOT_OK(ForceWalLocked(unknown ? kNullLsn : max_lsn));
+  if (dirty.empty()) return Status::OK();
+  ASSET_RETURN_NOT_OK(ForceWalLocked(unknown ? kNullLsn : max_lsn));
+  for (Frame* f : dirty) {
+    Page(f->data.get()).UpdateChecksum();
+    ASSET_RETURN_NOT_OK(disk_->WritePage(f->page_id, f->data.get()));
+    f->dirty = false;
+    f->page_lsn = kNullLsn;
+    f->rec_lsn = kNullLsn;
+    stats_.dirty_writebacks++;
   }
-  for (Frame& f : frames_) {
-    if (f.page_id != kInvalidPageId && f.dirty) {
-      Page(f.data.get()).UpdateChecksum();
-      ASSET_RETURN_NOT_OK(disk_->WritePage(f.page_id, f.data.get()));
-      f.dirty = false;
-      f.page_lsn = kNullLsn;
-      f.rec_lsn = kNullLsn;
-    }
-  }
-  return disk_->Sync();
+  return Status::OK();
 }
 
 Status BufferPool::FlushUnpinned() {
@@ -266,9 +270,8 @@ Status BufferPool::FlushUnpinned() {
   }
   // Phase 3: write back each target under a short lock hold. A page
   // that is pinned, or was re-dirtied past the forced watermark, is
-  // skipped — it stays dirty and lands in the dirty-page table instead.
-  // Holding mu_ across the write is what makes the copy safe: mutators
-  // need a pin, pins need mu_, and pin_count is 0.
+  // skipped here. Holding mu_ across the write is what makes the copy
+  // safe: mutators need a pin, pins need mu_, and pin_count is 0.
   for (PageId pid : targets) {
     std::lock_guard<std::mutex> g(mu_);
     auto it = page_table_.find(pid);
@@ -282,6 +285,16 @@ Status BufferPool::FlushUnpinned() {
     f.page_lsn = kNullLsn;
     f.rec_lsn = kNullLsn;
     stats_.dirty_writebacks++;
+  }
+  // Phase 4: a hot page re-dirtied during the force would otherwise
+  // stay in the dirty-page table with its old rec_lsn and hold WAL
+  // truncation back for a whole checkpoint interval. Under one lock
+  // hold (no pin can start), force the WAL once more over the dirty
+  // unpinned pages and write them back. Only pinned pages are left for
+  // the dirty-page table.
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    ASSET_RETURN_NOT_OK(WriteBackDirtyLocked(/*unpinned_only=*/true));
   }
   return disk_->Sync();
 }

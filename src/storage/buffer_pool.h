@@ -101,8 +101,10 @@ class BufferPool {
   /// every dirty *unpinned* page without blocking concurrent traffic.
   /// One WAL force (outside the pool lock) covers the batch; each page
   /// is then written under a short lock hold, skipping pages that are
-  /// pinned or were re-dirtied past the forced watermark — those simply
-  /// stay dirty and appear in the checkpoint's dirty-page table.
+  /// pinned or were re-dirtied past the forced watermark. A last pass
+  /// under one lock hold forces the WAL over the re-dirtied unpinned
+  /// pages and writes them too, so only pinned pages stay dirty and
+  /// appear in the checkpoint's dirty-page table.
   Status FlushUnpinned();
 
   /// The dirty-page table: every dirty cached page with its recovery
@@ -157,6 +159,11 @@ class BufferPool {
   /// Forces the WAL up to `page_lsn` (entire log when kNullLsn) before a
   /// dirty page may reach the device. Caller holds mu_.
   Status ForceWalLocked(Lsn page_lsn);
+
+  /// Forces the WAL once over every dirty frame (only the unpinned ones
+  /// with `unpinned_only`) and writes those frames back. Caller holds
+  /// mu_.
+  Status WriteBackDirtyLocked(bool unpinned_only);
 
   /// Finds a free or evictable frame; caller holds mu_.
   Result<size_t> GrabFrameLocked();

@@ -13,10 +13,6 @@ bool IsDataOp(LogRecordType t) {
          t == LogRecordType::kDelete || t == LogRecordType::kIncrement;
 }
 
-bool IsClr(LogRecordType t) {
-  return t == LogRecordType::kClrPut || t == LogRecordType::kClrDelete;
-}
-
 }  // namespace
 
 Result<RecoveryManager::Report> RecoveryManager::Recover(LogManager* log,
@@ -281,8 +277,7 @@ Status RecoveryManager::Checkpoint(LogManager* log, BufferPool* pool) {
 Result<Lsn> RecoveryManager::FuzzyCheckpoint(
     LogManager* log, BufferPool* pool, const AttSnapshot& att,
     std::chrono::milliseconds drain_timeout) {
-  // 1. Push unpinned dirty pages out. Pages skipped (pinned, or
-  //    re-dirtied past the batch's forced watermark) stay dirty and are
+  // 1. Push unpinned dirty pages out. Pinned pages stay dirty and are
   //    covered by the DPT instead — nothing blocks on them.
   ASSET_RETURN_NOT_OK(pool->FlushUnpinned());
 

@@ -209,21 +209,10 @@ Result<LogRecord> LogRecord::DecodeFrom(const std::vector<uint8_t>& data,
   return rec;
 }
 
-LogManager::LogManager(FlushMode mode)
-    : mode_(mode), io_status_(Status::OK()), injected_error_(Status::OK()) {
-  if (mode_ == FlushMode::kGrouped) {
-    flusher_ = std::thread([this] { FlusherMain(); });
-  }
-}
+LogManager::LogManager()
+    : io_status_(Status::OK()), injected_error_(Status::OK()) {}
 
 LogManager::~LogManager() {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    stop_ = true;
-  }
-  flush_cv_.notify_all();
-  durable_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -276,6 +265,7 @@ Status LogManager::AttachFile(const std::string& path) {
   truncated_ = records_.empty() ? 0 : records_.front().lsn - 1;
   durable_lsn_ = truncated_ + static_cast<Lsn>(records_.size());
   requested_lsn_ = durable_lsn_;
+  waited_lsn_ = durable_lsn_;
   buf_first_ = durable_lsn_;
   for (const LogRecord& r : records_) {
     if (r.type == LogRecordType::kCheckpoint) {
@@ -298,7 +288,7 @@ Lsn LogManager::Append(LogRecord rec) {
   rec.lsn = truncated_ + static_cast<Lsn>(records_.size()) + 1;
   Lsn lsn = rec.lsn;
   if (fd_ >= 0) {
-    // Encode now, into the in-memory log buffer, so the flusher never
+    // Encode now, into the in-memory log buffer, so a leader never
     // touches `records_` (a deque being push_back'd concurrently) and a
     // flush is a single contiguous byte range.
     size_t before_sz = buf_.size();
@@ -322,100 +312,80 @@ Lsn LogManager::Append(LogRecord rec) {
 Status LogManager::Flush(Lsn upto) {
   std::unique_lock<std::mutex> lk(mu_);
   const Lsn end = truncated_ + static_cast<Lsn>(records_.size());
-  Lsn target = (upto == kNullLsn) ? end : upto;
+  const Lsn target = (upto == kNullLsn) ? end : upto;
   if (target > end) {
     return Status::InvalidArgument("flush beyond end of log");
   }
-  if (target <= durable_lsn_) {
-    return Status::OK();
-  }
-  if (!io_status_.ok()) {
-    return io_status_;
-  }
-  requested_lsn_ = std::max(requested_lsn_, target);
-  if (mode_ == FlushMode::kSynchronous) {
-    return FlushInlineLocked(target);
-  }
-  flush_cv_.notify_one();
-  const uint64_t epoch = crash_epoch_;
-  durable_cv_.wait(lk, [&] {
-    return durable_lsn_ >= target || !io_status_.ok() || stop_ ||
-           crash_epoch_ != epoch;
-  });
-  if (durable_lsn_ >= target) return Status::OK();
-  if (!io_status_.ok()) return io_status_;
-  if (crash_epoch_ != epoch) {
-    return Status::IllegalState(
-        "log crashed during flush wait: the awaited tail was discarded");
-  }
-  return Status::IllegalState("log shut down during flush wait");
+  return FlushLocked(lk, target, /*wait=*/true);
 }
 
 Status LogManager::RequestFlush(Lsn lsn) {
   std::unique_lock<std::mutex> lk(mu_);
-  Lsn end = truncated_ + static_cast<Lsn>(records_.size());
-  Lsn target = (lsn == kNullLsn) ? end : std::min(lsn, end);
-  if (target <= durable_lsn_) return Status::OK();
-  // Sticky failure: nothing past durable_lsn_ will ever land, so the
-  // nudge must not be a silent OK — relaxed commits surface this.
-  if (!io_status_.ok()) return io_status_;
-  requested_lsn_ = std::max(requested_lsn_, target);
-  if (mode_ == FlushMode::kSynchronous) {
-    return FlushInlineLocked(target);
-  }
-  flush_cv_.notify_one();
-  return Status::OK();
+  const Lsn end = truncated_ + static_cast<Lsn>(records_.size());
+  return FlushLocked(lk, (lsn == kNullLsn) ? end : std::min(lsn, end),
+                     /*wait=*/false);
 }
 
-void LogManager::FlusherMain() {
-  std::unique_lock<std::mutex> lk(mu_);
+Status LogManager::FlushLocked(std::unique_lock<std::mutex>& lk, Lsn target,
+                               bool wait) {
+  requested_lsn_ = std::max(requested_lsn_, target);
+  if (wait) waited_lsn_ = std::max(waited_lsn_, target);
+  const uint64_t epoch = crash_epoch_;
   for (;;) {
-    flush_cv_.wait(lk, [&] {
-      return stop_ || (requested_lsn_ > durable_lsn_ && io_status_.ok());
-    });
-    if (stop_ && (requested_lsn_ <= durable_lsn_ || !io_status_.ok())) {
-      return;  // drained (or wedged on a sticky error): shut down
+    if (durable_lsn_ >= target) return Status::OK();
+    // Sticky failure: nothing past durable_lsn_ will ever land, so even
+    // a no-wait request must not read as a silent OK.
+    if (!io_status_.ok()) return io_status_;
+    if (crash_epoch_ != epoch) {
+      return Status::IllegalState(
+          "log crashed during flush wait: the awaited tail was discarded");
     }
+    if (!flush_in_progress_) {
+      LeadLocked(lk);
+    } else if (!wait) {
+      return Status::OK();  // the running leader takes it
+    } else {
+      durable_cv_.wait(lk);  // follower: the leader wakes us
+    }
+  }
+}
+
+void LogManager::LeadLocked(std::unique_lock<std::mutex>& lk) {
+  do {
     const Lsn from = durable_lsn_;
     const Lsn target = std::min(
         requested_lsn_, truncated_ + static_cast<Lsn>(records_.size()));
-    if (target <= from) continue;
+    Status io = std::exchange(injected_error_, Status::OK());
+    const bool sync = io.ok() && fd_ >= 0;  // else no device: by fiat
+    size_t nbytes = 0;
+    int64_t io_ns = 0;
+    if (sync) {
+      auto [lo, hi] = BatchRangeLocked(from, target);
+      std::vector<uint8_t> batch(buf_.begin() + static_cast<ptrdiff_t>(lo),
+                                 buf_.begin() + static_cast<ptrdiff_t>(hi));
+      const off_t write_at = file_end_;
+      const int fd = fd_;
+      std::function<void()> hook = fsync_hook_;
+      flush_in_progress_ = true;
+      lk.unlock();
 
-    if (!injected_error_.ok()) {
-      Status err = std::exchange(injected_error_, Status::OK());
-      CompleteFlushLocked(from, target, 0, err, false);
-      continue;
+      // Device I/O happens here, with no lock held: appenders keep
+      // reserving lsns and followers keep queueing requests meanwhile.
+      const int64_t io_start_ns = FlightRecorder::NowNs();
+      io = PwriteFully(fd, batch.data(), batch.size(), write_at, "log file");
+      if (io.ok()) {
+        if (hook) hook();
+        io = FsyncRetry(fd);
+      }
+      io_ns = FlightRecorder::NowNs() - io_start_ns;
+      nbytes = batch.size();
+      lk.lock();
     }
-    if (fd_ < 0) {
-      // No device: the batch becomes durable by fiat.
-      CompleteFlushLocked(from, target, 0, Status::OK(), false);
-      continue;
-    }
-
-    auto [lo, hi] = BatchRangeLocked(from, target);
-    std::vector<uint8_t> batch(buf_.begin() + static_cast<ptrdiff_t>(lo),
-                               buf_.begin() + static_cast<ptrdiff_t>(hi));
-    const off_t write_at = file_end_;
-    const int fd = fd_;
-    std::function<void()> hook = fsync_hook_;
-    flush_in_progress_ = true;
-    lk.unlock();
-
-    // Device I/O happens here, with no lock held: appenders keep
-    // reserving lsns and committers keep queueing requests meanwhile.
-    const int64_t io_start_ns = FlightRecorder::NowNs();
-    Status io = PwriteFully(fd, batch.data(), batch.size(), write_at,
-                            "log file");
-    if (io.ok()) {
-      if (hook) hook();
-      io = FsyncRetry(fd);
-    }
-    const int64_t io_ns = FlightRecorder::NowNs() - io_start_ns;
-
-    lk.lock();
-    CompleteFlushLocked(from, target, batch.size(), io, /*did_sync=*/io.ok(),
-                        io_ns);
-  }
+    CompleteFlushLocked(from, target, nbytes, io, sync, io_ns);
+    // A waiting follower past the new boundary leads the next batch
+    // itself; only no-wait requests made during the I/O are ours.
+  } while (io_status_.ok() && requested_lsn_ > durable_lsn_ &&
+           waited_lsn_ <= durable_lsn_);
 }
 
 std::pair<size_t, size_t> LogManager::BatchRangeLocked(Lsn from,
@@ -484,30 +454,6 @@ void LogManager::CompleteFlushLocked(Lsn from, Lsn target, size_t nbytes,
   durable_cv_.notify_all();
 }
 
-Status LogManager::FlushInlineLocked(Lsn target) {
-  if (!injected_error_.ok()) {
-    Status err = std::exchange(injected_error_, Status::OK());
-    CompleteFlushLocked(durable_lsn_, target, 0, err, false);
-    return io_status_;
-  }
-  if (fd_ < 0) {
-    CompleteFlushLocked(durable_lsn_, target, 0, Status::OK(), false);
-    return Status::OK();
-  }
-  auto [lo, hi] = BatchRangeLocked(durable_lsn_, target);
-  const int64_t io_start_ns = FlightRecorder::NowNs();
-  Status io = PwriteFully(fd_, buf_.data() + lo, hi - lo, file_end_,
-                          "log file");
-  if (io.ok()) {
-    if (fsync_hook_) fsync_hook_();
-    io = FsyncRetry(fd_);
-  }
-  const int64_t io_ns = FlightRecorder::NowNs() - io_start_ns;
-  CompleteFlushLocked(durable_lsn_, target, hi - lo, io, /*did_sync=*/io.ok(),
-                      io_ns);
-  return io.ok() ? Status::OK() : io_status_;
-}
-
 Lsn LogManager::last_lsn() const {
   std::lock_guard<std::mutex> g(mu_);
   return truncated_ + static_cast<Lsn>(records_.size());
@@ -540,6 +486,7 @@ void LogManager::SimulateCrash() {
   durable_cv_.wait(lk, [&] { return !flush_in_progress_; });
   records_.resize(durable_lsn_ - truncated_);
   requested_lsn_ = durable_lsn_;
+  waited_lsn_ = durable_lsn_;
   buf_.clear();
   ends_.clear();
   buf_first_ = durable_lsn_;
@@ -726,10 +673,6 @@ void LogManager::InjectFlushErrorForTest(Status error) {
 void LogManager::SetFsyncHookForTest(std::function<void()> hook) {
   std::lock_guard<std::mutex> g(mu_);
   fsync_hook_ = std::move(hook);
-}
-
-std::thread::id LogManager::flusher_thread_id_for_test() const {
-  return flusher_.get_id();
 }
 
 }  // namespace asset

@@ -2,8 +2,8 @@
 #define ASSET_STORAGE_WAL_H_
 
 /// \file wal.h
-/// Write-ahead log with before/after images and an asynchronous
-/// group-commit pipeline.
+/// Write-ahead log with before/after images and leader-follower group
+/// commit.
 ///
 /// The paper's write path (§4.2) logs the before image of an object, then
 /// performs the write, then logs the after image; abort installs before
@@ -23,13 +23,19 @@
 ///    file-backed, encodes the record into an in-memory log buffer —
 ///    all under one short critical section. Appending never performs
 ///    I/O and never blocks on a flush in progress.
-///  - The *flush* side is a dedicated flusher thread. Committers (and
-///    anyone else who needs durability) publish the lsn they need via
-///    RequestFlush/WaitDurable; the flusher drains every requested
-///    record in one pwrite at a tracked file offset plus one fsync,
-///    advances `durable_lsn_`, and wakes all waiters. Concurrent
-///    committers therefore piggyback on a single fsync — the paper's
-///    group-commit (GC) economics applied to the storage layer.
+///  - The *flush* side is leader-follower group commit, run by the
+///    threads that need durability; the log starts no thread. A caller
+///    of Flush/WaitDurable/RequestFlush publishes the lsn it needs. If
+///    no flush is in progress it becomes the *leader*: it takes every
+///    requested record, drops the log mutex for one pwrite at a tracked
+///    file offset plus one fsync, advances `durable_lsn_`, and wakes the
+///    waiters. Callers arriving meanwhile are *followers*: they sleep,
+///    and one still not durable when the leader finishes leads the next
+///    batch, which carries every request made during the I/O. So
+///    concurrent committers share one fsync — the paper's group-commit
+///    (GC) economics applied to the storage layer — and a lone caller
+///    is synchronous by construction. With no device the leader only
+///    advances `durable_lsn_`.
 ///
 /// I/O errors are sticky: once a flush fails, the failure Status is
 /// surfaced to every current and future durability waiter, and the
@@ -46,7 +52,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
@@ -187,21 +192,7 @@ struct WalStatsSink {
 /// durable records to the file and fsync it.
 class LogManager {
  public:
-  enum class FlushMode : uint8_t {
-    /// Default: the dedicated flusher thread performs all file I/O;
-    /// durability waiters from concurrent committers piggyback on one
-    /// pwrite+fsync per batch.
-    kGrouped,
-    /// Reference mode: Flush/WaitDurable perform the pwrite+fsync on
-    /// the calling thread, under the log mutex, one batch per caller —
-    /// the pre-pipeline behaviour. Used by benchmarks as the
-    /// synchronous-fsync baseline and by single-threaded embedders that
-    /// prefer no background thread.
-    kSynchronous,
-  };
-
-  LogManager() : LogManager(FlushMode::kGrouped) {}
-  explicit LogManager(FlushMode mode);
+  LogManager();
   ~LogManager();
 
   LogManager(const LogManager&) = delete;
@@ -230,15 +221,16 @@ class LogManager {
   /// name the commit path uses.
   Status WaitDurable(Lsn lsn) { return Flush(lsn); }
 
-  /// Asks the flusher to make records up to `lsn` (everything, if
-  /// kNullLsn) durable without waiting. The relaxed-durability commit
-  /// path uses this: the ack does not wait, but the flusher persists
-  /// the commit record soon after. Returns OK without waiting for the
-  /// I/O — unless the log already carries a sticky flush failure, which
-  /// is returned so even no-wait committers learn the disk is gone
-  /// (records past durable_lsn() will never land). In kSynchronous mode
-  /// this flushes inline (there is no flusher to hand off to) and
-  /// returns that flush's status.
+  /// Makes records up to `lsn` (everything, if kNullLsn) durable
+  /// without waiting for a flush already in progress: leads a flush
+  /// when none is running (and returns its status), otherwise leaves
+  /// `lsn` to the running leader, which keeps leading until every such
+  /// no-wait request is durable. The relaxed-durability commit path
+  /// uses this, so its lost tail is bounded by one batch. Returns OK
+  /// once the request is queued — unless the log already carries a
+  /// sticky flush failure, which is returned so even no-wait committers
+  /// learn the disk is gone (records past durable_lsn() will never
+  /// land).
   Status RequestFlush(Lsn lsn = kNullLsn);
 
   Lsn last_lsn() const;
@@ -337,17 +329,22 @@ class LogManager {
   /// the device, as a failing disk would. The error then sticks.
   void InjectFlushErrorForTest(Status error);
 
-  /// Invoked immediately before each fsync, on the thread that issues
-  /// it. Tests use this to assert *where* fsyncs happen (the flusher
-  /// thread, never a thread inside the kernel).
+  /// Invoked immediately before each fsync, on the leader's thread,
+  /// with the log mutex released. Tests use this to hold a flush open.
   void SetFsyncHookForTest(std::function<void()> hook);
 
-  /// Identity of the flusher thread (kGrouped mode only).
-  std::thread::id flusher_thread_id_for_test() const;
-
  private:
-  /// Body of the dedicated flusher thread (kGrouped mode).
-  void FlusherMain();
+  /// The one flush routine behind Flush and RequestFlush: returns once
+  /// `target` is durable (or, unless `wait`, once a running leader will
+  /// take it), leading a batch whenever no flush is in progress. `lk`
+  /// holds mu_.
+  Status FlushLocked(std::unique_lock<std::mutex>& lk, Lsn target,
+                     bool wait);
+
+  /// Leader: flushes every requested record in one batch, dropping mu_
+  /// for the pwrite+fsync, and repeats while no-wait requests that no
+  /// waiting follower will lead are outstanding. `lk` holds mu_.
+  void LeadLocked(std::unique_lock<std::mutex>& lk);
 
   /// Byte range of records (from, target] in buf_. Caller holds mu_.
   std::pair<size_t, size_t> BatchRangeLocked(Lsn from, Lsn target) const;
@@ -362,17 +359,10 @@ class LogManager {
                            const Status& io, bool did_sync,
                            int64_t io_ns = 0);
 
-  /// kSynchronous-mode flush of records up to `target`, inline under
-  /// mu_ (the caller pays the pwrite+fsync — the reference behaviour).
-  Status FlushInlineLocked(Lsn target);
-
   mutable std::mutex mu_;
-  /// Wakes the flusher (new request, shutdown).
-  std::condition_variable flush_cv_;
   /// Wakes durability waiters (boundary advanced, error, flush done).
   std::condition_variable durable_cv_;
 
-  const FlushMode mode_;
   /// Retained records; records_[i] holds lsn truncated_ + 1 + i. The
   /// log's end lsn is truncated_ + records_.size().
   std::deque<LogRecord> records_;
@@ -384,14 +374,17 @@ class LogManager {
   /// min_recovery_lsn of the last durable checkpoint (== the record's
   /// own lsn for legacy quiescent checkpoints), kNullLsn if none.
   Lsn checkpoint_min_recovery_ = kNullLsn;
-  /// Highest lsn any waiter or nudge asked to make durable.
+  /// Highest lsn any waiter or no-wait request asked to make durable.
   Lsn requested_lsn_ = kNullLsn;
+  /// Highest lsn a blocking (Flush/WaitDurable) caller awaits. While it
+  /// is past durable_lsn_, a follower will lead the next batch.
+  Lsn waited_lsn_ = kNullLsn;
   /// Sticky: first flush failure; OK while the log is healthy.
   Status io_status_;
   /// Consumed by the next flush attempt (test fault injection).
   Status injected_error_;
+  /// A leader is doing device I/O with mu_ released.
   bool flush_in_progress_ = false;
-  bool stop_ = false;
   /// Bumped by SimulateCrash; lets sleeping durability waiters detect
   /// that the tail holding their target was discarded.
   uint64_t crash_epoch_ = 0;
@@ -408,7 +401,7 @@ class LogManager {
   /// Path of the attached log file (TruncatePrefix rewrites it).
   std::string path_;
   /// Tracked append offset: end of the durable bytes in the file. The
-  /// flusher writes at this offset instead of trusting lseek(SEEK_END).
+  /// leader writes at this offset instead of trusting lseek(SEEK_END).
   off_t file_end_ = 0;
 
   /// In-memory log buffer (file-backed logs only): the wire encoding of
@@ -421,7 +414,6 @@ class LogManager {
 
   WalStatsSink sink_;
   std::function<void()> fsync_hook_;
-  std::thread flusher_;
 };
 
 }  // namespace asset

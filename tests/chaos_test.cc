@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
@@ -27,7 +28,7 @@ struct ChaosCase {
   int rounds;
   uint64_t seed;
   /// Run the kernel under DurabilityPolicy::kRelaxed: commit acks do
-  /// not wait for the flusher, so the crash may lose a suffix of acked
+  /// not wait for a flush, so the crash may lose a suffix of acked
   /// commits. The post-recovery invariants weaken accordingly (prefix
   /// semantics), but conservation must still hold.
   bool relaxed = false;
@@ -36,6 +37,15 @@ struct ChaosCase {
   /// crash recovers from the shortened log.
   bool checkpoints = false;
 };
+
+/// Names each case by its fields (a struct parameter would otherwise be
+/// printed as raw bytes, padding included).
+std::string ChaosCaseName(const ::testing::TestParamInfo<ChaosCase>& info) {
+  const ChaosCase& c = info.param;
+  return "t" + std::to_string(c.threads) + "_r" + std::to_string(c.rounds) +
+         "_seed" + std::to_string(c.seed) + (c.relaxed ? "_relaxed" : "") +
+         (c.checkpoints ? "_ckpt" : "");
+}
 
 class ChaosProperty : public ::testing::TestWithParam<ChaosCase> {};
 
@@ -313,7 +323,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaosProperty,
                                            ChaosCase{4, 15, 5, true},
                                            ChaosCase{8, 10, 6, true},
                                            ChaosCase{4, 15, 7, false, true},
-                                           ChaosCase{6, 12, 8, true, true}));
+                                           ChaosCase{6, 12, 8, true, true}),
+    ChaosCaseName);
 
 }  // namespace
 }  // namespace asset

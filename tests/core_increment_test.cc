@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
@@ -211,6 +212,17 @@ struct IncrementSweep {
   uint64_t seed;
 };
 
+/// Names each case by its fields (a struct parameter would otherwise be
+/// printed as raw bytes, padding included).
+std::string IncrementSweepName(
+    const ::testing::TestParamInfo<IncrementSweep>& info) {
+  const IncrementSweep& c = info.param;
+  const int abort_pct = static_cast<int>(c.abort_probability * 100 + 0.5);
+  return "t" + std::to_string(c.threads) + "_adds" +
+         std::to_string(c.adds_per_thread) + "_abort" +
+         std::to_string(abort_pct) + "pct_seed" + std::to_string(c.seed);
+}
+
 class IncrementProperty : public ::testing::TestWithParam<IncrementSweep> {};
 
 TEST_P(IncrementProperty, FinalValueIsSumOfCommittedDeltas) {
@@ -252,7 +264,8 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementSweep{4, 25, 0.0, 2},
                       IncrementSweep{4, 25, 0.3, 3},
                       IncrementSweep{8, 15, 0.2, 4},
-                      IncrementSweep{8, 15, 0.8, 5}));
+                      IncrementSweep{8, 15, 0.8, 5}),
+    IncrementSweepName);
 
 // --- Crash recovery of increments -----------------------------------------
 

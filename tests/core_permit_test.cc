@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
 #include "common/random.h"
 #include "core/permit_table.h"
@@ -174,6 +175,16 @@ struct ClosureCase {
   int inserts;
 };
 
+/// Names each case by its fields (a struct parameter would otherwise be
+/// printed as raw bytes, padding included).
+std::string ClosureCaseName(
+    const ::testing::TestParamInfo<ClosureCase>& info) {
+  const ClosureCase& c = info.param;
+  return "seed" + std::to_string(c.seed) + "_txns" + std::to_string(c.txns) +
+         "_objs" + std::to_string(c.objects) + "_inserts" +
+         std::to_string(c.inserts);
+}
+
 class PermitClosureProperty : public ::testing::TestWithParam<ClosureCase> {};
 
 // Oracle: BFS over direct permits only, intersecting scopes along the
@@ -247,7 +258,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ClosureCase{1, 4, 4, 6}, ClosureCase{2, 5, 3, 10},
                       ClosureCase{3, 3, 5, 8}, ClosureCase{4, 6, 4, 12},
                       ClosureCase{5, 4, 2, 15}, ClosureCase{6, 8, 6, 20},
-                      ClosureCase{7, 5, 5, 25}, ClosureCase{8, 6, 3, 18}));
+                      ClosureCase{7, 5, 5, 25}, ClosureCase{8, 6, 3, 18}),
+    ClosureCaseName);
 
 }  // namespace
 }  // namespace asset

@@ -94,7 +94,9 @@ TEST(TraceTest, DumpRoundTripsThroughJsonParser) {
     EXPECT_EQ(e.Find("cat")->str, "asset");
     const std::string& ph = e.Find("ph")->str;
     EXPECT_TRUE(ph == "X" || ph == "i") << ph;
-    if (ph == "X") EXPECT_GT(e.Find("dur")->number, 0.0);
+    if (ph == "X") {
+      EXPECT_GT(e.Find("dur")->number, 0.0);
+    }
     const Value* args = e.Find("args");
     ASSERT_NE(args, nullptr);
     EXPECT_NE(args->Find("txn"), nullptr);

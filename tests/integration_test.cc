@@ -317,7 +317,9 @@ TEST(DatabaseTest, FileBackedSurvivesRepeatedReopens) {
       EXPECT_EQ(db->GetCounter(counter).value(), round);
       ASSERT_TRUE(db->Add(counter, 1).ok());
     });
-    if (round == 2) ASSERT_TRUE(db->Checkpoint().ok());
+    if (round == 2) {
+      ASSERT_TRUE(db->Checkpoint().ok());
+    }
   }
   Database::Options opts;
   opts.path = path;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
@@ -247,6 +248,14 @@ struct FuzzCase {
   int key_space;
 };
 
+/// Names each case by its fields (a struct parameter would otherwise be
+/// printed as raw bytes, padding included).
+std::string FuzzCaseName(const ::testing::TestParamInfo<FuzzCase>& info) {
+  const FuzzCase& c = info.param;
+  return "seed" + std::to_string(c.seed) + "_ops" + std::to_string(c.ops) +
+         "_keys" + std::to_string(c.key_space);
+}
+
 class BTreeFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(BTreeFuzz, AgreesWithStdMap) {
@@ -311,7 +320,8 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, BTreeFuzz,
     ::testing::Values(FuzzCase{1, 500, 100}, FuzzCase{2, 1000, 50},
                       FuzzCase{3, 1500, 2000}, FuzzCase{4, 2000, 300},
-                      FuzzCase{5, 800, 10}, FuzzCase{6, 2500, 1000}));
+                      FuzzCase{5, 800, 10}, FuzzCase{6, 2500, 1000}),
+    FuzzCaseName);
 
 TEST_F(BTreeTest, SurvivesCrashRecovery) {
   auto db = Database::Open().value();

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
@@ -31,6 +32,15 @@ struct ConsistencyCase {
   int ops;
   uint64_t seed;
 };
+
+/// Names each case by its fields (a struct parameter would otherwise be
+/// printed as raw bytes, padding included).
+std::string ConsistencyCaseName(
+    const ::testing::TestParamInfo<ConsistencyCase>& info) {
+  const ConsistencyCase& c = info.param;
+  return "w" + std::to_string(c.writers) + "_r" + std::to_string(c.readers) +
+         "_ops" + std::to_string(c.ops) + "_seed" + std::to_string(c.seed);
+}
 
 class SnapshotConsistencyProperty
     : public ::testing::TestWithParam<ConsistencyCase> {};
@@ -92,7 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConsistencyCase{2, 2, 20, 1},
                       ConsistencyCase{4, 2, 20, 2},
                       ConsistencyCase{2, 4, 25, 3},
-                      ConsistencyCase{4, 4, 15, 4}));
+                      ConsistencyCase{4, 4, 15, 4}),
+    ConsistencyCaseName);
 
 // ---------------------------------------------------------------------------
 // 2. Group-commit all-or-nothing under random aborts.
@@ -102,6 +113,13 @@ struct GroupCase {
   double abort_probability;
   uint64_t seed;
 };
+
+std::string GroupCaseName(const ::testing::TestParamInfo<GroupCase>& info) {
+  const GroupCase& c = info.param;
+  const int abort_pct = static_cast<int>(c.abort_probability * 100 + 0.5);
+  return "size" + std::to_string(c.group_size) + "_abort" +
+         std::to_string(abort_pct) + "pct_seed" + std::to_string(c.seed);
+}
 
 class GroupAtomicityProperty : public ::testing::TestWithParam<GroupCase> {};
 
@@ -146,7 +164,9 @@ TEST_P(GroupAtomicityProperty, AllOrNothing) {
       EXPECT_EQ(tm.GetStatus(t), expected)
           << "round " << round << " tid " << t;
     }
-    if (aborted_one) EXPECT_FALSE(committed);
+    if (aborted_one) {
+      EXPECT_FALSE(committed);
+    }
   }
 }
 
@@ -154,7 +174,8 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, GroupAtomicityProperty,
     ::testing::Values(GroupCase{2, 0.0, 11}, GroupCase{2, 0.5, 12},
                       GroupCase{4, 0.3, 13}, GroupCase{6, 0.2, 14},
-                      GroupCase{8, 0.15, 15}, GroupCase{3, 1.0, 16}));
+                      GroupCase{8, 0.15, 15}, GroupCase{3, 1.0, 16}),
+    GroupCaseName);
 
 // ---------------------------------------------------------------------------
 // 3. Delegation-chain oracle: a write delegated down a chain persists
@@ -164,6 +185,12 @@ struct ChainCase {
   int chain_length;
   bool final_commits;
 };
+
+std::string ChainCaseName(const ::testing::TestParamInfo<ChainCase>& info) {
+  const ChainCase& c = info.param;
+  return "len" + std::to_string(c.chain_length) +
+         (c.final_commits ? "_commit" : "_abort");
+}
 
 class DelegationChainProperty : public ::testing::TestWithParam<ChainCase> {
  protected:
@@ -200,7 +227,12 @@ TEST_P(DelegationChainProperty, OutcomeFollowsFinalResponsible) {
   // terminations must not decide the value.
   for (size_t i = 0; i + 1 < chain.size(); ++i) {
     if (i % 2 == 0) {
-      tm.Commit(chain[i]);
+      // An initiated member must begin before it can commit; committing
+      // it unbegun would only wait out the commit timeout.
+      if (tm.GetStatus(chain[i]) == TxnStatus::kInitiated) {
+        ASSERT_TRUE(tm.Begin(chain[i]));
+      }
+      EXPECT_TRUE(tm.Commit(chain[i]));
     } else {
       tm.Abort(chain[i]);
     }
@@ -224,7 +256,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DelegationChainProperty,
                                            ChainCase{3, true},
                                            ChainCase{3, false},
                                            ChainCase{6, true},
-                                           ChainCase{6, false}));
+                                           ChainCase{6, false}),
+    ChainCaseName);
 
 // ---------------------------------------------------------------------------
 // 4. Recovery idempotence over randomized histories: random ops from
@@ -238,6 +271,13 @@ struct HistoryCase {
   int objects;
   int ops;
 };
+
+std::string HistoryCaseName(
+    const ::testing::TestParamInfo<HistoryCase>& info) {
+  const HistoryCase& c = info.param;
+  return "seed" + std::to_string(c.seed) + "_txns" + std::to_string(c.txns) +
+         "_objs" + std::to_string(c.objects) + "_ops" + std::to_string(c.ops);
+}
 
 class RecoveryIdempotenceProperty
     : public ::testing::TestWithParam<HistoryCase> {};
@@ -305,7 +345,9 @@ TEST_P(RecoveryIdempotenceProperty, DoubleRecoveryIsIdentity) {
   bool full_flush = rng.Bernoulli(0.5);
   Lsn boundary = full_flush ? log.last_lsn() : 1 + rng.Uniform(log.last_lsn());
   ASSERT_TRUE(log.Flush(boundary).ok());
-  if (full_flush && rng.Bernoulli(0.5)) ASSERT_TRUE(pool.FlushAll().ok());
+  if (full_flush && rng.Bernoulli(0.5)) {
+    ASSERT_TRUE(pool.FlushAll().ok());
+  }
   log.SimulateCrash();
   pool.DropAllUnflushed();
   ASSERT_TRUE(store.Open().ok());
@@ -326,7 +368,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(HistoryCase{21, 3, 4, 12}, HistoryCase{22, 4, 3, 20},
                       HistoryCase{23, 2, 6, 16}, HistoryCase{24, 5, 5, 30},
                       HistoryCase{25, 6, 2, 25}, HistoryCase{26, 3, 8, 40},
-                      HistoryCase{27, 8, 4, 35}, HistoryCase{28, 4, 4, 50}));
+                      HistoryCase{27, 8, 4, 35}, HistoryCase{28, 4, 4, 50}),
+    HistoryCaseName);
 
 }  // namespace
 }  // namespace asset

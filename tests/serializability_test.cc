@@ -10,6 +10,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -204,6 +205,16 @@ struct WorkloadCase {
   uint64_t seed;
 };
 
+/// Names each case by its fields (a struct parameter would otherwise be
+/// printed as raw bytes, padding included).
+std::string WorkloadCaseName(
+    const ::testing::TestParamInfo<WorkloadCase>& info) {
+  const WorkloadCase& c = info.param;
+  return "t" + std::to_string(c.threads) + "_txns" +
+         std::to_string(c.txns_per_thread) + "_objs" +
+         std::to_string(c.objects) + "_seed" + std::to_string(c.seed);
+}
+
 class SerializabilityProperty : public ::testing::TestWithParam<WorkloadCase> {
 };
 
@@ -275,7 +286,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(WorkloadCase{2, 30, 4, 1}, WorkloadCase{4, 25, 3, 2},
                       WorkloadCase{4, 25, 8, 3}, WorkloadCase{8, 15, 4, 4},
                       WorkloadCase{8, 15, 16, 5},
-                      WorkloadCase{6, 20, 2, 6}));
+                      WorkloadCase{6, 20, 2, 6}),
+    WorkloadCaseName);
 
 }  // namespace
 }  // namespace asset

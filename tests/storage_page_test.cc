@@ -23,7 +23,7 @@ std::string Str(std::span<const uint8_t> b) {
 class PageTest : public ::testing::Test {
  protected:
   PageTest() : page_(buf_) { page_.Init(7); }
-  uint8_t buf_[kPageSize];
+  uint8_t buf_[kPageSize] = {};
   Page page_;
 };
 

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <string>
+
 #include "storage/recovery.h"
 
 namespace asset {
@@ -438,6 +442,50 @@ TEST_F(RecoveryTest, TruncationRetainsActiveTransactionOps) {
   EXPECT_EQ(log_.ReadAll().front().lsn, up);
   Crash();
   EXPECT_EQ(Value(10), "v0");  // undone from the retained record
+}
+
+// A hot page — re-dirtied while the checkpoint forces the WAL for its
+// write-back pass — must still go out with the checkpoint. Left dirty,
+// its old rec_lsn would pin min_recovery_lsn (and so WAL truncation)
+// until the next checkpoint, letting the in-memory log grow to twice
+// the checkpoint trigger.
+TEST(FuzzyCheckpointTest, PageRedirtiedDuringTheForceIsWrittenBack) {
+  const std::string path = ::testing::TempDir() + "/asset_ckpt_hot_page.wal";
+  std::remove(path.c_str());
+  LogManager log;
+  ASSERT_TRUE(log.AttachFile(path).ok());  // a device, so fsyncs run
+  InMemoryDiskManager disk;
+  BufferPool pool(&disk, 16, &log);
+  ObjectStore store(&pool);
+  ASSERT_TRUE(store.Open().ok());
+  auto put = [&](const std::string& v) {
+    LogManager::ApplyGuard applying(&log);
+    LogRecord r;
+    r.type = LogRecordType::kUpdate;
+    r.tid = 1;
+    r.oid = 10;
+    r.after = Bytes(v);
+    Lsn lsn = log.Append(std::move(r));
+    EXPECT_TRUE(store.ApplyPut(10, Bytes(v)).ok());
+    return lsn;
+  };
+  put("init");
+  ASSERT_TRUE(pool.FlushAll().ok());  // start from clean pages
+  const Lsn first = put("v0");  // dirties the page with rec_lsn == first
+  bool redirtied = false;
+  log.SetFsyncHookForTest([&] {
+    if (redirtied) return;
+    redirtied = true;
+    put("v1");  // the page turns hot during the checkpoint's WAL force
+  });
+  auto ckpt = RecoveryManager::FuzzyCheckpoint(
+      &log, &pool, nullptr, std::chrono::milliseconds(1000));
+  ASSERT_TRUE(ckpt.ok());
+  EXPECT_TRUE(redirtied);
+  EXPECT_TRUE(pool.DirtyPageTable().empty());
+  EXPECT_GT(log.checkpoint_min_recovery_lsn(), first);
+  log.SetFsyncHookForTest(nullptr);
+  std::remove(path.c_str());
 }
 
 }  // namespace

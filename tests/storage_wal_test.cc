@@ -1,13 +1,15 @@
 // Tests for the write-ahead log: record encode/decode, durability
 // boundary, crash simulation, checkpoint tracking, torn-tail handling,
-// and the group-commit pipeline (flusher batching, flush-error
+// and leader-follower group commit (fsync batching, flush-error
 // surfacing, crash mid-group-commit).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <set>
@@ -250,8 +252,8 @@ TEST(LogManagerTest, RequestFlushAdvancesDurableAsynchronously) {
 }
 
 TEST(LogManagerTest, SimulateCrashNeverStrandsDurabilityWaiters) {
-  // A crash can land between a waiter publishing its target and the
-  // flusher picking it up; the truncation then discards the waiter's
+  // A crash can land between a waiter publishing its target and a
+  // leader flushing it; the truncation then discards the waiter's
   // lsn, which can never become durable. The waiter must wake with an
   // error, not sleep forever.
   for (int round = 0; round < 50; ++round) {
@@ -264,7 +266,7 @@ TEST(LogManagerTest, SimulateCrashNeverStrandsDurabilityWaiters) {
     log.SimulateCrash();
     waiter.join();
     if (got.ok()) {
-      // The flusher won the race: the record landed before the crash.
+      // The waiter won the race: the record landed before the crash.
       EXPECT_EQ(log.durable_lsn(), tail);
     } else {
       // IllegalState when the crash discarded the target mid-wait;
@@ -328,11 +330,13 @@ TEST(LogFileTest, RequestFlushSurfacesTheStickyError) {
   std::remove(path.c_str());
 }
 
-TEST(LogFileTest, SynchronousModeFlushesOnTheCallingThread) {
-  std::string path = ::testing::TempDir() + "/asset_wal_syncmode.wal";
+// With no flush in progress the caller leads its own: a lone caller is
+// synchronous, paying the pwrite+fsync on its own thread.
+TEST(LogFileTest, LoneFlusherFsyncsOnTheCallingThread) {
+  std::string path = ::testing::TempDir() + "/asset_wal_lone.wal";
   std::remove(path.c_str());
   {
-    LogManager log(LogManager::FlushMode::kSynchronous);
+    LogManager log;
     ASSERT_TRUE(log.AttachFile(path).ok());
     std::set<std::thread::id> fsync_threads;
     log.SetFsyncHookForTest(
@@ -343,41 +347,10 @@ TEST(LogFileTest, SynchronousModeFlushesOnTheCallingThread) {
     EXPECT_EQ(fsync_threads,
               std::set<std::thread::id>{std::this_thread::get_id()});
   }
-  // The synchronous mode writes the same on-disk format.
   LogManager log;
   ASSERT_TRUE(log.AttachFile(path).ok());
   EXPECT_EQ(log.durable_lsn(), 2u);
   EXPECT_EQ(log.At(2).after, (std::vector<uint8_t>{'c'}));
-  std::remove(path.c_str());
-}
-
-TEST(LogFileTest, GroupedFsyncsRunOnlyOnTheFlusherThread) {
-  std::string path = ::testing::TempDir() + "/asset_wal_flusher.wal";
-  std::remove(path.c_str());
-  LogManager log;
-  ASSERT_TRUE(log.AttachFile(path).ok());
-  std::mutex mu;
-  std::set<std::thread::id> fsync_threads;
-  log.SetFsyncHookForTest([&] {
-    std::lock_guard<std::mutex> g(mu);
-    fsync_threads.insert(std::this_thread::get_id());
-  });
-  constexpr int kThreads = 8, kPer = 50;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&log, t] {
-      for (int i = 0; i < kPer; ++i) {
-        Lsn lsn = log.Append(UpdateRec(t + 1, 1, "", "x"));
-        ASSERT_TRUE(log.WaitDurable(lsn).ok());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(log.durable_lsn(), static_cast<Lsn>(kThreads * kPer));
-  // Every fsync was issued by the dedicated flusher — never a waiter.
-  std::lock_guard<std::mutex> g(mu);
-  ASSERT_EQ(fsync_threads.size(), 1u);
-  EXPECT_EQ(*fsync_threads.begin(), log.flusher_thread_id_for_test());
   std::remove(path.c_str());
 }
 
@@ -455,10 +428,8 @@ TEST(WalPipelineTest, CrashMidGroupCommitRecoversExactlyTheDurableGroups) {
 }
 
 // N concurrent strict-durability committers must produce fewer than N
-// fsyncs (the flusher batches their commit records), and every fsync
-// must run on the flusher thread — a thread that never touches the
-// kernel mutex, which is the "no fsync under the kernel mutex"
-// guarantee in executable form.
+// fsyncs: committers arriving while a leader fsyncs follow it, and one
+// of them leads the next batch for all of them.
 TEST(WalPipelineTest, ConcurrentCommittersBatchOntoFewerFsyncs) {
   std::string path = ::testing::TempDir() + "/asset_wal_batch_db.data";
   std::remove(path.c_str());
@@ -469,13 +440,6 @@ TEST(WalPipelineTest, ConcurrentCommittersBatchOntoFewerFsyncs) {
   auto open = Database::Open(opts);
   ASSERT_TRUE(open.ok());
   auto db = std::move(*open);
-
-  std::mutex mu;
-  std::set<std::thread::id> fsync_threads;
-  LogOf(*db).SetFsyncHookForTest([&] {
-    std::lock_guard<std::mutex> g(mu);
-    fsync_threads.insert(std::this_thread::get_id());
-  });
 
   auto before = KernelOf(*db).stats().snapshot();
   constexpr int kThreads = 8, kPer = 25;
@@ -504,12 +468,120 @@ TEST(WalPipelineTest, ConcurrentCommittersBatchOntoFewerFsyncs) {
   // Every commit was acked durable (strict policy, default).
   EXPECT_GE(LogOf(*db).durable_lsn(), static_cast<Lsn>(kThreads * kPer));
 
+  db.reset();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
+// No fsync runs under the kernel mutex: while the fsync hook holds a
+// strict commit's flush open, another thread still runs a whole
+// transaction (Begin, Read, Abort) through the kernel.
+TEST(WalPipelineTest, KernelRunsWhileAFsyncIsHeldOpen) {
+  std::string path = ::testing::TempDir() + "/asset_wal_open_fsync.data";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  Database::Options opts;
+  opts.path = path;
+  auto open = Database::Open(opts);
+  ASSERT_TRUE(open.ok());
+  auto db = std::move(*open);
+  ObjectId oid;
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn.ok());
+    auto created = txn->Create<int>(7);
+    ASSERT_TRUE(created.ok());
+    oid = *created;
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool in_fsync = false, released = false, held_too_long = false;
+  LogOf(*db).SetFsyncHookForTest([&] {
+    std::unique_lock<std::mutex> lk(mu);
+    if (in_fsync) return;  // hold only the first fsync
+    in_fsync = true;
+    cv.notify_all();
+    held_too_long =
+        !cv.wait_for(lk, std::chrono::seconds(10), [&] { return released; });
+  });
+  Status commit_status;
+  std::thread committer([&] {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(txn->Create<int>(8).ok());
+    commit_status = txn->Commit();  // leads the flush the hook holds
+  });
+  bool entered = false;
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    entered =
+        cv.wait_for(lk, std::chrono::seconds(10), [&] { return in_fsync; });
+  }
+  // No ASSERT until the committer is joined: its thread must not outlive
+  // this frame.
+  if (entered) {
+    auto txn = db->Begin();
+    EXPECT_TRUE(txn.ok());
+    if (txn.ok()) {
+      EXPECT_EQ(*txn->Get<int>(oid), 7);
+      EXPECT_TRUE(txn->Abort().ok());
+    }
+  }
   {
     std::lock_guard<std::mutex> g(mu);
-    ASSERT_EQ(fsync_threads.size(), 1u);
-    EXPECT_EQ(*fsync_threads.begin(), LogOf(*db).flusher_thread_id_for_test());
+    released = true;
   }
+  cv.notify_all();
+  committer.join();
+  EXPECT_TRUE(entered);
+  EXPECT_FALSE(held_too_long);  // the transaction did not need the hook
+  EXPECT_TRUE(commit_status.ok());
   LogOf(*db).SetFsyncHookForTest(nullptr);
+  db.reset();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
+// Relaxed commits never wait, yet no tail is left behind: a no-wait
+// request either leads a flush or is taken by the running leader, so
+// once the committers return every commit record is durable — with no
+// strict commit and no SyncWal to push it.
+TEST(WalPipelineTest, RelaxedCommitsBecomeDurableWithoutAStrictFlush) {
+  std::string path = ::testing::TempDir() + "/asset_wal_relaxed.data";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  Database::Options opts;
+  opts.path = path;
+  opts.txn.durability = DurabilityPolicy::kRelaxed;
+  auto open = Database::Open(opts);
+  ASSERT_TRUE(open.ok());
+  auto db = std::move(*open);
+
+  constexpr int kThreads = 4, kPer = 25;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&db] {
+      for (int i = 0; i < kPer; ++i) {
+        auto txn = db->Begin();
+        ASSERT_TRUE(txn.ok());
+        ASSERT_TRUE(txn->Create<int>(i).ok());
+        ASSERT_TRUE(txn->Commit().ok());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  Lsn last_commit = kNullLsn;
+  int commits = 0;
+  for (const LogRecord& r : LogOf(*db).ReadAll()) {
+    if (r.type != LogRecordType::kCommit) continue;
+    last_commit = std::max(last_commit, r.lsn);
+    ++commits;
+  }
+  EXPECT_EQ(commits, kThreads * kPer);
+  EXPECT_GE(LogOf(*db).durable_lsn(), last_commit);
+  EXPECT_GT(KernelOf(*db).stats().snapshot().wal_fsyncs, 0u);
   db.reset();
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
@@ -561,11 +633,11 @@ TEST(WalPipelineTest, RelaxedCommitAcksFailAfterTheWalGoesBad) {
     ASSERT_TRUE(txn->Commit().ok());  // healthy: the no-wait ack is OK
   }
   LogOf(*db).InjectFlushErrorForTest(Status::IOError("injected device failure"));
-  // The injection fires on the next flush the flusher actually runs; at
-  // this point everything is already durable, so push fresh records
-  // through a failing flush to make the error stick. This commit's own
-  // no-wait ack races the flusher (it may return OK before the error
-  // lands), so no assertion on it.
+  // The injection fires on the next flush that actually runs; at this
+  // point everything is already durable, so push fresh records through
+  // a failing flush to make the error stick. This commit's own no-wait
+  // ack may be taken by a running leader and return OK before the error
+  // lands, so no assertion on it.
   {
     auto txn = db->Begin();
     ASSERT_TRUE(txn.ok());
@@ -661,7 +733,7 @@ TEST(LogManagerTest, SimulateCrashAfterTruncationKeepsDurablePrefix) {
 }
 
 TEST(LogManagerTest, TruncateRefusedOnStickyIoError) {
-  LogManager log(LogManager::FlushMode::kSynchronous);
+  LogManager log;
   log.Append(UpdateRec(1, 1, "", "a"));
   LogRecord cp;
   cp.type = LogRecordType::kCheckpoint;
