@@ -12,8 +12,8 @@ namespace {
 constexpr uint32_t kMaxObjSetIds = 1u << 20;
 
 /// Envelope flag bits (the u8 after the command tag). Unknown bits are
-/// a decode error — a v3 sender cannot silently lose semantics on a v2
-/// receiver.
+/// a decode error — a newer sender cannot silently lose semantics on an
+/// older receiver.
 constexpr uint8_t kFlagHasDeadline = 1u << 0;
 constexpr uint8_t kFlagHasTrace = 1u << 1;  ///< v3: trace id + span id
 constexpr uint8_t kKnownFlags = kFlagHasDeadline | kFlagHasTrace;

@@ -45,12 +45,9 @@ inline constexpr uint32_t kProtocolMagic = 0x54455341;
 /// v2 added the per-command flags byte and the optional deadline field
 /// to the command envelope (see EncodeCommand); v3 added the optional
 /// trace-context field (trace id + span id) plus the kDumpTrace and
-/// kSlowLog admin commands.
+/// kSlowLog admin commands. Client and server ship from one tree, so
+/// the handshake accepts exactly this version.
 inline constexpr uint16_t kProtocolVersion = 3;
-/// Oldest peer version the handshake still accepts. A v2 client speaks
-/// a strict subset of v3 (no trace flag, no tags 18/19), so the server
-/// interoperates without translation.
-inline constexpr uint16_t kMinProtocolVersion = 2;
 
 /// In a command's `tid` field: the session's current transaction.
 inline constexpr Tid kCurrentTxn = kNullTid;

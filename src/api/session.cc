@@ -110,12 +110,10 @@ Reply ApiSession::Execute(const Command& cmd) {
         return Reply::FromStatus(
             Status::InvalidArgument("hello: bad protocol magic"));
       }
-      if (cmd.version < kMinProtocolVersion ||
-          cmd.version > kProtocolVersion) {
+      if (cmd.version != kProtocolVersion) {
         return Reply::FromStatus(Status::InvalidArgument(
             "hello: unsupported protocol version " +
             std::to_string(cmd.version) + " (server speaks " +
-            std::to_string(kMinProtocolVersion) + ".." +
             std::to_string(kProtocolVersion) + ")"));
       }
       handshaken_ = true;

@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "api/wire.h"
-#include "common/socket_io.h"
+#include "common/sys_hooks.h"
 
 namespace asset::client {
 
@@ -85,7 +85,7 @@ Status Client::WaitFor(short events, const char* what) {
                     ? static_cast<int>(options_.io_timeout.count())
                     : -1;
   for (;;) {
-    int n = SockPoll(&pfd, 1, timeout);
+    int n = SysPoll(&pfd, 1, timeout);
     if (n > 0) return Status::OK();
     if (n == 0) {
       ++stats_.timeouts;
@@ -110,7 +110,7 @@ Status Client::DialOnce() {
     return Status::InvalidArgument("client: bad host " + host_);
   }
   const std::string where = host_ + ":" + std::to_string(port_);
-  if (SockConnect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+  if (SysConnect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     if (errno != EINPROGRESS) {
       Status s = Errno("client: connect " + where);
@@ -125,7 +125,7 @@ Status Client::DialOnce() {
                       : -1;
     int n;
     do {
-      n = SockPoll(&pfd, 1, timeout);
+      n = SysPoll(&pfd, 1, timeout);
     } while (n < 0 && errno == EINTR);
     if (n == 0) {
       close(fd);
@@ -159,16 +159,7 @@ Status Client::DialOnce() {
       auto hello = Receive();
       if (!hello.ok()) fs = hello.status();
       else if (!hello->ok()) fs = hello->ToStatus();
-      else if (hello->i64 < static_cast<int64_t>(api::kMinProtocolVersion) ||
-               hello->i64 > static_cast<int64_t>(api::kProtocolVersion)) {
-        fs = Status::IllegalState(
-            "client: server speaks protocol version " +
-            std::to_string(hello->i64) + ", this client speaks " +
-            std::to_string(api::kMinProtocolVersion) + ".." +
-            std::to_string(api::kProtocolVersion));
-      } else {
-        server_version_ = static_cast<uint16_t>(hello->i64);
-      }
+      else server_version_ = static_cast<uint16_t>(hello->i64);
     }
     if (!fs.ok()) {
       DropConnection();
@@ -235,10 +226,6 @@ void Client::Send(const api::Command& cmd) {
   uint64_t trace = cmd.trace_id;
   uint64_t span = cmd.span_id;
   if (trace == 0 && TracingOn()) trace = NewTraceId();
-  if (trace != 0 && server_version_ != 0 && server_version_ < 3) {
-    trace = 0;  // a v2 server rejects the trace flag; drop, don't break
-    span = 0;
-  }
   if (trace != 0 && span == 0) span = ++trace_counter_;
   std::vector<uint8_t> payload;
   if (stamp_deadline || trace != cmd.trace_id || span != cmd.span_id) {
@@ -267,8 +254,8 @@ Status Client::Flush() {
   }
   size_t off = 0;
   while (off < send_buf_.size()) {
-    ssize_t sent = SockSend(fd_, send_buf_.data() + off,
-                            send_buf_.size() - off, MSG_NOSIGNAL);
+    ssize_t sent = SysSend(fd_, send_buf_.data() + off,
+                           send_buf_.size() - off, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -305,7 +292,7 @@ Status Client::FillTo(size_t need) {
     size_t base = recv_buf_.size();
     size_t chunk = 64 * 1024;
     recv_buf_.resize(base + chunk);
-    ssize_t got = SockRecv(fd_, recv_buf_.data() + base, chunk, 0);
+    ssize_t got = SysRecv(fd_, recv_buf_.data() + base, chunk, 0);
     if (got < 0) {
       recv_buf_.resize(base);
       if (errno == EINTR) continue;

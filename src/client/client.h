@@ -84,9 +84,8 @@ class Client {
     /// When set and enabled, every command is stamped with a wire
     /// trace context (one trace id per logical Call, a fresh span id
     /// per attempt) and each reply emits a kClientRpc round-trip span
-    /// into this recorder. Stamping is version-gated: it only happens
-    /// once the handshake proved the server speaks protocol v3+. The
-    /// recorder must outlive the client.
+    /// into this recorder. Stamping starts once the handshake finished.
+    /// The recorder must outlive the client.
     FlightRecorder* trace_recorder = nullptr;
 
     Status Validate() const;
@@ -186,11 +185,10 @@ class Client {
   /// at least `hint_ms` (the server's retry-after hint) long.
   void Backoff(int attempt, int64_t hint_ms);
   /// True once trace stamping may happen: a recorder is bound and
-  /// enabled, and the server proved it speaks protocol v3+.
+  /// enabled, and the handshake finished.
   bool TracingOn() const {
     return options_.trace_recorder != nullptr &&
-           options_.trace_recorder->enabled() &&
-           server_version_ >= 3;
+           options_.trace_recorder->enabled() && server_version_ != 0;
   }
   /// A fresh nonzero trace/span id (rng-seeded so concurrent clients
   /// do not collide, counter-mixed so one client never repeats).

@@ -69,7 +69,7 @@ namespace asset {
   X(wal, wal_fsyncs, fsyncs)                                               \
   X(wal, wal_records_flushed, records_flushed)                             \
   X(wal, commit_stalls, commit_stalls)                                     \
-  /* Checkpoints completed (quiescent or fuzzy), and TruncatePrefix       \
+  /* Checkpoints completed, and TruncatePrefix                             \
      activity: calls that dropped at least one record, and the records    \
      physically dropped across all of them. */                             \
   X(checkpoint, checkpoints, checkpoints)                                  \
@@ -86,7 +86,7 @@ namespace asset {
   X(lock_wait_latency)                                                     \
   /* pwrite+fsync of one WAL flush batch. */                               \
   X(fsync_latency)                                                         \
-  /* One quiescent or fuzzy checkpoint, end to end. */                     \
+  /* One checkpoint, end to end. */                                        \
   X(checkpoint_latency)
 
 /// Monotonic event counters + latency histograms for the kernel.

@@ -305,7 +305,7 @@ class TransactionManager {
   /// Count of begun-but-unterminated transactions.
   size_t ActiveTransactions() const;
 
-  /// Blocks until no transaction is active (for quiescent checkpoints).
+  /// Blocks until no transaction is active.
   /// False if `timeout` elapsed first (zero = wait forever).
   bool WaitIdle(std::chrono::milliseconds timeout =
                     std::chrono::milliseconds(0)) const;

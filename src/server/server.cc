@@ -23,7 +23,7 @@
 #include "api/session.h"
 #include "api/wire.h"
 #include "common/histogram.h"
-#include "common/socket_io.h"
+#include "common/sys_hooks.h"
 #include "common/trace.h"
 #include "core/database.h"
 
@@ -166,7 +166,9 @@ Status Server::Options::Validate() const {
 
 struct Server::Impl {
   /// Stage accounting for one queued reply, matched to its flush by
-  /// cumulative byte position (`out_end` vs Conn::out_total_sent).
+  /// cumulative byte position (`out_end` vs Conn::out_total_sent). Once
+  /// flushed, a slow one is kept as is in the slow-request ring
+  /// (kSlowLog's payload).
   struct PendingReply {
     uint64_t out_end = 0;     ///< out_total_queued after this reply
     uint64_t trace_id = 0;    ///< 0 = untraced (no events, still timed)
@@ -177,19 +179,8 @@ struct Server::Impl {
     int64_t queue_ns = 0;
     int64_t execute_ns = 0;
     int64_t enqueued_ns = 0;  ///< FlightRecorder::NowNs at enqueue
-  };
-
-  /// One captured slow request (kSlowLog's payload).
-  struct SlowRequest {
-    uint64_t trace_id = 0;
-    uint64_t span_id = 0;
-    uint64_t kernel_tid = 0;
-    uint8_t tag = 0;
-    uint8_t code = 0;
-    int64_t queue_ns = 0;
-    int64_t execute_ns = 0;
-    int64_t flush_ns = 0;
-    int64_t ts_ns = 0;  ///< flush completion, process trace clock
+    int64_t flush_ns = 0;     ///< set at flush: enqueue to bytes sent
+    int64_t ts_ns = 0;        ///< set at flush: completion, trace clock
   };
 
   /// Per-command-tag stage latencies (recorded for every request,
@@ -257,7 +248,7 @@ struct Server::Impl {
   StageHistograms stage_hist[kNumTags];
   /// Slow-request ring (any worker may append; kSlowLog reads).
   mutable std::mutex slow_mu;
-  std::vector<SlowRequest> slow_ring;
+  std::vector<PendingReply> slow_ring;
   size_t slow_next = 0;
   uint64_t slow_total = 0;
   int listen_fd = -1;
@@ -284,7 +275,7 @@ struct Server::Impl {
     fds[0] = {listen_fd, POLLIN, 0};
     fds[1] = {acceptor_wake_fd, POLLIN, 0};
     while (!stop.load(std::memory_order_acquire)) {
-      int n = SockPoll(fds, 2, 1000);
+      int n = SysPoll(fds, 2, 1000);
       if (n <= 0) continue;
       if (fds[1].revents != 0) continue;  // woken for shutdown; loop checks
       for (;;) {
@@ -394,7 +385,7 @@ struct Server::Impl {
       size_t chunk = std::min(budget, kReadChunk);
       size_t base = c->in.size();
       c->in.resize(base + chunk);
-      ssize_t got = SockRecv(c->fd, c->in.data() + base, chunk, 0);
+      ssize_t got = SysRecv(c->fd, c->in.data() + base, chunk, 0);
       if (got > 0) {
         c->in.resize(base + static_cast<size_t>(got));
         stats->bytes_in.fetch_add(static_cast<uint64_t>(got),
@@ -426,7 +417,7 @@ struct Server::Impl {
       return;
     }
     if (w->conns.count(c->fd) == 0) return;  // closed during processing
-    FlushOut(w, c, /*from_epollout=*/false);
+    FlushOut(w, c);
   }
 
   /// Decodes and dispatches every complete frame in `c->in`, queueing
@@ -604,32 +595,22 @@ struct Server::Impl {
             .count();
     while (!c->pending_replies.empty() &&
            c->pending_replies.front().out_end <= c->out_total_sent) {
-      const PendingReply p = c->pending_replies.front();
+      PendingReply p = c->pending_replies.front();
       c->pending_replies.pop_front();
-      const int64_t now = FlightRecorder::NowNs();
-      const int64_t flush_ns = now - p.enqueued_ns;
-      stage_hist[p.tag].flush.Record(static_cast<uint64_t>(flush_ns));
+      p.ts_ns = FlightRecorder::NowNs();
+      p.flush_ns = p.ts_ns - p.enqueued_ns;
+      stage_hist[p.tag].flush.Record(static_cast<uint64_t>(p.flush_ns));
       if (p.trace_id != 0) {
         rec->Emit(TraceEventType::kReplyFlushed, p.trace_id, p.span_id,
-                  p.tag, p.code, flush_ns);
+                  p.tag, p.code, p.flush_ns);
       }
       if (threshold_ns > 0 &&
-          p.queue_ns + p.execute_ns + flush_ns >= threshold_ns) {
-        SlowRequest s;
-        s.trace_id = p.trace_id;
-        s.span_id = p.span_id;
-        s.kernel_tid = p.kernel_tid;
-        s.tag = p.tag;
-        s.code = p.code;
-        s.queue_ns = p.queue_ns;
-        s.execute_ns = p.execute_ns;
-        s.flush_ns = flush_ns;
-        s.ts_ns = now;
+          p.queue_ns + p.execute_ns + p.flush_ns >= threshold_ns) {
         std::lock_guard<std::mutex> g(slow_mu);
         if (slow_ring.size() < options.slow_log_slots) {
-          slow_ring.push_back(s);
+          slow_ring.push_back(p);
         } else {
-          slow_ring[slow_next] = s;
+          slow_ring[slow_next] = p;
         }
         slow_next = (slow_next + 1) % options.slow_log_slots;
         ++slow_total;
@@ -639,11 +620,10 @@ struct Server::Impl {
 
   /// Writes as much of `c->out` as the socket takes. Returns false if
   /// the connection was closed.
-  bool FlushOut(Worker* w, Conn* c, bool from_epollout) {
-    (void)from_epollout;
+  bool FlushOut(Worker* w, Conn* c) {
     while (c->pending_out() > 0) {
-      ssize_t sent = SockSend(c->fd, c->out.data() + c->out_off,
-                              c->pending_out(), MSG_NOSIGNAL);
+      ssize_t sent = SysSend(c->fd, c->out.data() + c->out_off,
+                             c->pending_out(), MSG_NOSIGNAL);
       if (sent > 0) {
         c->out_off += static_cast<size_t>(sent);
         c->out_total_sent += static_cast<uint64_t>(sent);
@@ -676,7 +656,7 @@ struct Server::Impl {
 
   bool HandleWrite(Worker* w, Conn* c) {
     c->last_activity = std::chrono::steady_clock::now();
-    return FlushOut(w, c, /*from_epollout=*/true);
+    return FlushOut(w, c);
   }
 
   void SweepIdle(Worker* w, std::chrono::steady_clock::time_point now) {
@@ -713,8 +693,8 @@ struct Server::Impl {
       pending = false;
       for (auto& [fd, conn] : w->conns) {
         if (conn->pending_out() == 0) continue;
-        ssize_t sent = SockSend(fd, conn->out.data() + conn->out_off,
-                                conn->pending_out(), MSG_NOSIGNAL);
+        ssize_t sent = SysSend(fd, conn->out.data() + conn->out_off,
+                               conn->pending_out(), MSG_NOSIGNAL);
         if (sent > 0) {
           conn->out_off += static_cast<size_t>(sent);
           conn->out_total_sent += static_cast<uint64_t>(sent);
@@ -819,7 +799,7 @@ struct Server::Impl {
 
   /// The slow-request ring as JSON, oldest entry first.
   std::string RenderSlowLogJson() const {
-    std::vector<SlowRequest> entries;
+    std::vector<PendingReply> entries;
     uint64_t total;
     {
       std::lock_guard<std::mutex> g(slow_mu);
@@ -837,7 +817,7 @@ struct Server::Impl {
                       ",\"total\":" + std::to_string(total) +
                       ",\"slow_requests\":[";
     bool first = true;
-    for (const SlowRequest& s : entries) {
+    for (const PendingReply& s : entries) {
       if (!first) out.push_back(',');
       first = false;
       out += "{\"trace_id\":" + std::to_string(s.trace_id) +

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/sys_hooks.h"
 #include "storage/page.h"
 
 namespace asset {
@@ -108,7 +109,7 @@ Status FileDiskManager::ReadPage(PageId page_id, uint8_t* frame) {
   // legally transfer fewer bytes than a page.
   return PreadFully(fd_, frame, kPageSize,
                     static_cast<off_t>(page_id) * kPageSize,
-                    "page " + std::to_string(page_id), pread_fn_);
+                    "page " + std::to_string(page_id));
 }
 
 Status FileDiskManager::WritePage(PageId page_id, const uint8_t* frame) {
@@ -118,7 +119,7 @@ Status FileDiskManager::WritePage(PageId page_id, const uint8_t* frame) {
   }
   return PwriteFully(fd_, frame, kPageSize,
                      static_cast<off_t>(page_id) * kPageSize,
-                     "page " + std::to_string(page_id), pwrite_fn_);
+                     "page " + std::to_string(page_id));
 }
 
 Result<PageId> FileDiskManager::AllocatePage() {
@@ -127,15 +128,9 @@ Result<PageId> FileDiskManager::AllocatePage() {
   std::memset(zeros, 0, kPageSize);
   Status s = PwriteFully(fd_, zeros, kPageSize,
                          static_cast<off_t>(num_pages_) * kPageSize,
-                         "device extension", pwrite_fn_);
+                         "device extension");
   if (!s.ok()) return s;
   return num_pages_++;
-}
-
-void FileDiskManager::SetIoFnsForTest(PreadFn pread_fn, PwriteFn pwrite_fn) {
-  std::lock_guard<std::mutex> g(mu_);
-  pread_fn_ = std::move(pread_fn);
-  pwrite_fn_ = std::move(pwrite_fn);
 }
 
 PageId FileDiskManager::NumPages() const {
@@ -145,10 +140,7 @@ PageId FileDiskManager::NumPages() const {
 
 Status FileDiskManager::Sync() {
   std::lock_guard<std::mutex> g(mu_);
-  if (::fsync(fd_) != 0) {
-    return Status::IOError("fsync: " + std::string(strerror(errno)));
-  }
-  return Status::OK();
+  return FsyncRetry(fd_);
 }
 
 }  // namespace asset

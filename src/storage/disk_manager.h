@@ -18,7 +18,6 @@
 #include "common/ids.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "storage/io_util.h"
 
 namespace asset {
 
@@ -91,18 +90,11 @@ class FileDiskManager : public DiskManager {
   PageId NumPages() const override;
   Status Sync() override;
 
-  /// Substitutes the raw pread/pwrite syscalls (nullptr restores the
-  /// real ones). Fault tests inject EINTR and short transfers here to
-  /// prove the full-transfer retry loops around every page I/O.
-  void SetIoFnsForTest(PreadFn pread_fn, PwriteFn pwrite_fn);
-
  private:
   mutable std::mutex mu_;
   Status open_status_;
   int fd_ = -1;
   PageId num_pages_ = 0;
-  PreadFn pread_fn_;
-  PwriteFn pwrite_fn_;
 };
 
 }  // namespace asset

@@ -20,7 +20,10 @@ std::vector<uint8_t> ObjectStore::MakeRecord(ObjectId oid,
                                              std::span<const uint8_t> data) {
   std::vector<uint8_t> rec(kRecordHeader + data.size());
   std::memcpy(rec.data(), &oid, sizeof(oid));
-  std::memcpy(rec.data() + kRecordHeader, data.data(), data.size());
+  // An empty value may carry a null data(), which memcpy must not see.
+  if (!data.empty()) {
+    std::memcpy(rec.data() + kRecordHeader, data.data(), data.size());
+  }
   return rec;
 }
 

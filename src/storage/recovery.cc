@@ -20,9 +20,7 @@ Result<RecoveryManager::Report> RecoveryManager::Recover(LogManager* log,
   Report report;
   std::vector<LogRecord> records = log->ReadDurable();
 
-  // Find the last durable checkpoint. A quiescent checkpoint promises
-  // "everything before me is on disk": analysis and redo both start
-  // after it. A fuzzy checkpoint only cuts the *analysis* at its
+  // Find the last durable checkpoint. It cuts the *analysis* at its
   // begin_lsn — its image seeds what the skipped scan would have found —
   // while redo must start at its min_recovery_lsn, the oldest update
   // that might live only in a cached page.
@@ -31,19 +29,14 @@ Result<RecoveryManager::Report> RecoveryManager::Recover(LogManager* log,
   FuzzyCheckpointImage image;
   bool have_image = false;
   for (const LogRecord& rec : records) {
-    if (rec.type == LogRecordType::kCheckpoint) {
-      analysis_start = rec.lsn;
-      redo_start = rec.lsn + 1;
-      have_image = false;
-    } else if (rec.type == LogRecordType::kFuzzyCheckpoint) {
-      auto img = FuzzyCheckpointImage::Decode(rec.after);
-      if (!img.ok()) return img.status();
-      image = std::move(img).value();
-      have_image = true;
-      analysis_start = image.begin_lsn;
-      redo_start =
-          (image.min_recovery_lsn == kNullLsn) ? 1 : image.min_recovery_lsn;
-    }
+    if (rec.type != LogRecordType::kFuzzyCheckpoint) continue;
+    auto img = FuzzyCheckpointImage::Decode(rec.after);
+    if (!img.ok()) return img.status();
+    image = std::move(img).value();
+    have_image = true;
+    analysis_start = image.begin_lsn;
+    redo_start =
+        (image.min_recovery_lsn == kNullLsn) ? 1 : image.min_recovery_lsn;
   }
   report.analysis_start_lsn = analysis_start;
   report.redo_start_lsn = redo_start;
@@ -128,7 +121,6 @@ Result<RecoveryManager::Report> RecoveryManager::Recover(LogManager* log,
       case LogRecordType::kClrDelete:
         if (rec.undo_of != kNullLsn) compensated.insert(rec.undo_of);
         break;
-      case LogRecordType::kCheckpoint:
       case LogRecordType::kFuzzyCheckpoint:
         break;
     }
@@ -262,16 +254,6 @@ Result<RecoveryManager::Report> RecoveryManager::Recover(LogManager* log,
   std::sort(report.winners.begin(), report.winners.end());
   std::sort(report.losers.begin(), report.losers.end());
   return report;
-}
-
-Status RecoveryManager::Checkpoint(LogManager* log, BufferPool* pool) {
-  ASSET_RETURN_NOT_OK(pool->FlushAll());
-  LogRecord rec;
-  rec.type = LogRecordType::kCheckpoint;
-  Lsn lsn = log->Append(std::move(rec));
-  // Force exactly through the checkpoint record; any volatile tail
-  // appended by concurrent transactions stays volatile.
-  return log->Flush(lsn);
 }
 
 Result<Lsn> RecoveryManager::FuzzyCheckpoint(

@@ -20,15 +20,13 @@
 ///      a final abort record so that recovery is idempotent and can
 ///      itself crash safely.
 ///
-/// Checkpoints come in two flavors. Checkpoint() is the legacy
-/// *quiescent* form: called with no transaction active, after which
-/// recovery never needs state from before the checkpoint record.
-/// FuzzyCheckpoint() is the online form: it flushes unpinned dirty
-/// pages, then captures the active-transaction table and the dirty-page
-/// table into a kFuzzyCheckpoint record while transactions keep
-/// running. Recovery seeds its analysis from the image and starts its
-/// redo at the image's min_recovery_lsn; the log prefix below
-/// min_recovery_lsn is provably redundant and may be truncated.
+/// There is one checkpoint, FuzzyCheckpoint(), and it is online: it
+/// writes back unpinned dirty pages, then captures the
+/// active-transaction table and the dirty-page table into a
+/// kFuzzyCheckpoint record while transactions keep running. Recovery
+/// seeds its analysis from the image and starts its redo at the image's
+/// min_recovery_lsn; the log prefix below min_recovery_lsn is provably
+/// redundant and may be truncated.
 
 #include <chrono>
 #include <cstdint>
@@ -44,7 +42,7 @@
 
 namespace asset {
 
-/// Runs recovery and (quiescent) checkpoints.
+/// Runs recovery and checkpoints.
 class RecoveryManager {
  public:
   /// What recovery did, for observability and tests.
@@ -66,11 +64,6 @@ class RecoveryManager {
   /// records. The store must be Open()ed. Appends CLR/abort records for
   /// losers and flushes the log.
   static Result<Report> Recover(LogManager* log, ObjectStore* store);
-
-  /// Quiescent checkpoint: flushes every dirty page, appends a checkpoint
-  /// record, and flushes the log. The caller must guarantee no
-  /// transaction is active.
-  static Status Checkpoint(LogManager* log, BufferPool* pool);
 
   /// Produces the active-transaction table for a fuzzy checkpoint: every
   /// begun, unterminated transaction with the lsns of the data

@@ -9,7 +9,7 @@
 #include <cstring>
 #include <utility>
 
-#include "storage/io_util.h"
+#include "common/sys_hooks.h"
 
 namespace asset {
 
@@ -183,8 +183,10 @@ Result<LogRecord> LogRecord::DecodeFrom(const std::vector<uint8_t>& data,
   size_t body_end = off + len;
   LogRecord rec;
   uint8_t type_byte = data[off++];
+  // 9 is the retired quiescent-checkpoint type: no longer a record.
   if (type_byte < static_cast<uint8_t>(LogRecordType::kBegin) ||
-      type_byte > static_cast<uint8_t>(LogRecordType::kFuzzyCheckpoint)) {
+      type_byte > static_cast<uint8_t>(LogRecordType::kFuzzyCheckpoint) ||
+      type_byte == 9) {
     return Status::Corruption("unknown log record type");
   }
   rec.type = static_cast<LogRecordType>(type_byte);
@@ -209,8 +211,7 @@ Result<LogRecord> LogRecord::DecodeFrom(const std::vector<uint8_t>& data,
   return rec;
 }
 
-LogManager::LogManager()
-    : io_status_(Status::OK()), injected_error_(Status::OK()) {}
+LogManager::LogManager() : io_status_(Status::OK()) {}
 
 LogManager::~LogManager() {
   if (fd_ >= 0) ::close(fd_);
@@ -230,12 +231,8 @@ Status LogManager::AttachFile(const std::string& path) {
     return Status::IOError("lseek: " + std::string(std::strerror(errno)));
   }
   std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0) {
-    ssize_t n = ::pread(fd_, bytes.data(), bytes.size(), 0);
-    if (n != size) {
-      return Status::IOError("short read of log file");
-    }
-  }
+  ASSET_RETURN_NOT_OK(
+      PreadFully(fd_, bytes.data(), bytes.size(), 0, "log file"));
   size_t off = 0;
   size_t good_end = 0;
   for (;;) {
@@ -267,20 +264,18 @@ Status LogManager::AttachFile(const std::string& path) {
   requested_lsn_ = durable_lsn_;
   waited_lsn_ = durable_lsn_;
   buf_first_ = durable_lsn_;
-  for (const LogRecord& r : records_) {
-    if (r.type == LogRecordType::kCheckpoint) {
-      last_checkpoint_ = r.lsn;
-      checkpoint_min_recovery_ = r.lsn;
-    } else if (r.type == LogRecordType::kFuzzyCheckpoint) {
-      auto img = FuzzyCheckpointImage::Decode(r.after);
-      last_checkpoint_ = r.lsn;
-      // An undecodable image cannot happen short of corruption the
-      // checksum missed; degrade to "never truncate" rather than lose
-      // records recovery may need.
-      checkpoint_min_recovery_ = img.ok() ? img.value().min_recovery_lsn : 1;
-    }
-  }
+  for (const LogRecord& r : records_) NoteDurableLocked(r);
   return Status::OK();
+}
+
+void LogManager::NoteDurableLocked(const LogRecord& r) {
+  if (r.type != LogRecordType::kFuzzyCheckpoint) return;
+  auto img = FuzzyCheckpointImage::Decode(r.after);
+  last_checkpoint_ = r.lsn;
+  // An undecodable image cannot happen short of corruption the checksum
+  // missed; degrade to "never truncate" rather than lose records
+  // recovery may need.
+  checkpoint_min_recovery_ = img.ok() ? img.value().min_recovery_lsn : 1;
 }
 
 Lsn LogManager::Append(LogRecord rec) {
@@ -355,8 +350,8 @@ void LogManager::LeadLocked(std::unique_lock<std::mutex>& lk) {
     const Lsn from = durable_lsn_;
     const Lsn target = std::min(
         requested_lsn_, truncated_ + static_cast<Lsn>(records_.size()));
-    Status io = std::exchange(injected_error_, Status::OK());
-    const bool sync = io.ok() && fd_ >= 0;  // else no device: by fiat
+    Status io;
+    const bool sync = fd_ >= 0;  // else no device: durable by fiat
     size_t nbytes = 0;
     int64_t io_ns = 0;
     if (sync) {
@@ -365,7 +360,6 @@ void LogManager::LeadLocked(std::unique_lock<std::mutex>& lk) {
                                  buf_.begin() + static_cast<ptrdiff_t>(hi));
       const off_t write_at = file_end_;
       const int fd = fd_;
-      std::function<void()> hook = fsync_hook_;
       flush_in_progress_ = true;
       lk.unlock();
 
@@ -373,10 +367,7 @@ void LogManager::LeadLocked(std::unique_lock<std::mutex>& lk) {
       // reserving lsns and followers keep queueing requests meanwhile.
       const int64_t io_start_ns = FlightRecorder::NowNs();
       io = PwriteFully(fd, batch.data(), batch.size(), write_at, "log file");
-      if (io.ok()) {
-        if (hook) hook();
-        io = FsyncRetry(fd);
-      }
+      if (io.ok()) io = FsyncRetry(fd);
       io_ns = FlightRecorder::NowNs() - io_start_ns;
       nbytes = batch.size();
       lk.lock();
@@ -402,17 +393,7 @@ void LogManager::CompleteFlushLocked(Lsn from, Lsn target, size_t nbytes,
                                      int64_t io_ns) {
   if (io.ok()) {
     for (Lsn l = from + 1; l <= target; ++l) {
-      const LogRecord& r = records_[l - 1 - truncated_];
-      if (r.type == LogRecordType::kCheckpoint) {
-        last_checkpoint_ = l;
-        checkpoint_min_recovery_ = l;
-      } else if (r.type == LogRecordType::kFuzzyCheckpoint) {
-        auto img = FuzzyCheckpointImage::Decode(r.after);
-        last_checkpoint_ = l;
-        // We encoded this payload ourselves; a decode failure degrades
-        // to "never truncate" instead of risking needed records.
-        checkpoint_min_recovery_ = img.ok() ? img.value().min_recovery_lsn : 1;
-      }
+      NoteDurableLocked(records_[l - 1 - truncated_]);
     }
     durable_lsn_ = target;
     if (fd_ >= 0) {
@@ -663,16 +644,6 @@ void LogManager::UnbindStats(const WalStatsSink& sink) {
       sink_.recorder == sink.recorder) {
     sink_ = WalStatsSink{};
   }
-}
-
-void LogManager::InjectFlushErrorForTest(Status error) {
-  std::lock_guard<std::mutex> g(mu_);
-  injected_error_ = std::move(error);
-}
-
-void LogManager::SetFsyncHookForTest(std::function<void()> hook) {
-  std::lock_guard<std::mutex> g(mu_);
-  fsync_hook_ = std::move(hook);
 }
 
 }  // namespace asset

@@ -47,7 +47,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -80,9 +79,8 @@ enum class LogRecordType : uint8_t {
   /// delegate(tid, other_tid, oid_set): responsibility for operations on
   /// the listed objects moved.
   kDelegateSet = 8,
-  /// All dirty pages were flushed before this record; recovery may start
-  /// here.
-  kCheckpoint = 9,
+  // 9 is retired (it was a quiescent checkpoint); it decodes as
+  // corruption.
   /// Compensation record: abort (runtime or recovery) restored object
   /// `oid` to the value in `after`; `undo_of` names the compensated
   /// update. Redo-only — never undone.
@@ -239,9 +237,8 @@ class LogManager {
   /// Lsn of the most recent durable checkpoint record, or kNullLsn.
   Lsn last_checkpoint_lsn() const;
 
-  /// The last durable checkpoint's min_recovery_lsn (for a legacy
-  /// quiescent kCheckpoint this is the checkpoint record's own lsn), or
-  /// kNullLsn if no checkpoint is durable. Records strictly below this
+  /// The last durable checkpoint's min_recovery_lsn, or kNullLsn if no
+  /// checkpoint is durable. Records strictly below this
   /// lsn are redundant and eligible for TruncatePrefix.
   Lsn checkpoint_min_recovery_lsn() const;
 
@@ -323,16 +320,6 @@ class LogManager {
   void BindStats(const WalStatsSink& sink);
   void UnbindStats(const WalStatsSink& sink);
 
-  // --- Test hooks -------------------------------------------------------
-
-  /// Makes the next flush attempt fail with `error` instead of touching
-  /// the device, as a failing disk would. The error then sticks.
-  void InjectFlushErrorForTest(Status error);
-
-  /// Invoked immediately before each fsync, on the leader's thread,
-  /// with the log mutex released. Tests use this to hold a flush open.
-  void SetFsyncHookForTest(std::function<void()> hook);
-
  private:
   /// The one flush routine behind Flush and RequestFlush: returns once
   /// `target` is durable (or, unless `wait`, once a running leader will
@@ -359,6 +346,10 @@ class LogManager {
                            const Status& io, bool did_sync,
                            int64_t io_ns = 0);
 
+  /// Tracks `r`, which just became durable: a kFuzzyCheckpoint moves
+  /// the checkpoint watermarks. Caller holds mu_.
+  void NoteDurableLocked(const LogRecord& r);
+
   mutable std::mutex mu_;
   /// Wakes durability waiters (boundary advanced, error, flush done).
   std::condition_variable durable_cv_;
@@ -371,8 +362,7 @@ class LogManager {
   Lsn truncated_ = 0;
   Lsn durable_lsn_ = kNullLsn;
   Lsn last_checkpoint_ = kNullLsn;
-  /// min_recovery_lsn of the last durable checkpoint (== the record's
-  /// own lsn for legacy quiescent checkpoints), kNullLsn if none.
+  /// min_recovery_lsn of the last durable checkpoint, kNullLsn if none.
   Lsn checkpoint_min_recovery_ = kNullLsn;
   /// Highest lsn any waiter or no-wait request asked to make durable.
   Lsn requested_lsn_ = kNullLsn;
@@ -381,8 +371,6 @@ class LogManager {
   Lsn waited_lsn_ = kNullLsn;
   /// Sticky: first flush failure; OK while the log is healthy.
   Status io_status_;
-  /// Consumed by the next flush attempt (test fault injection).
-  Status injected_error_;
   /// A leader is doing device I/O with mu_ released.
   bool flush_in_progress_ = false;
   /// Bumped by SimulateCrash; lets sleeping durability waiters detect
@@ -413,7 +401,6 @@ class LogManager {
   Lsn buf_first_ = kNullLsn;
 
   WalStatsSink sink_;
-  std::function<void()> fsync_hook_;
 };
 
 }  // namespace asset

@@ -1,12 +1,13 @@
 // Wire-level fault injection against a real server (docs/ROBUSTNESS.md).
 //
 // Every scenario here drives the stock Server + Client through the
-// SocketHooks seam (common/socket_io.h): partial transfers, EINTR
-// storms, stalls past the deadline, resets mid-batch, and admission
-// sheds. The invariants under test are the robustness layer's
-// promises: no call hangs forever, a deadline or disconnect aborts the
-// affected transaction exactly once, and the asset_server_* metrics
-// account for every outcome.
+// syscall seam (common/sys_hooks.h): partial transfers, EINTR storms,
+// stalls past the deadline, resets mid-batch, admission sheds, and a
+// disk that fails under socket faults. The invariants under test are
+// the robustness layer's promises: no call hangs forever, a deadline or
+// disconnect aborts the affected transaction exactly once, an I/O error
+// reaches every committer, and the asset_server_* metrics account for
+// every outcome.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -17,16 +18,18 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/command.h"
 #include "client/client.h"
-#include "common/socket_io.h"
+#include "common/sys_hooks.h"
 #include "common/trace.h"
 #include "core/database.h"
 #include "server/server.h"
@@ -79,7 +82,7 @@ class ServerChaosTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
-// --- Satellite regression: a silent peer cannot hang the client ------
+// --- A silent peer cannot hang the client ----------------------------
 
 TEST_F(ServerChaosTest, SilentServerTimesOutInsteadOfHanging) {
   // A listener that accepts and then says nothing, ever — the
@@ -122,7 +125,7 @@ TEST_F(ServerChaosTest, PartialWritesAndShortReadsMidFrame) {
   // Clamp every transfer to a handful of bytes and serve EINTR every
   // third call: frames fragment at arbitrary boundaries on both ends.
   std::atomic<uint64_t> calls{0};
-  SocketHooks hooks;
+  SysHooks hooks;
   hooks.send = [&calls](int fd, const void* buf, size_t len, int flags) {
     uint64_t n = calls.fetch_add(1, std::memory_order_relaxed);
     if (n % 3 == 2) {
@@ -140,7 +143,7 @@ TEST_F(ServerChaosTest, PartialWritesAndShortReadsMidFrame) {
     return ::recv(fd, buf, std::min<size_t>(len, 5), flags);
   };
   {
-    ScopedSocketHooks guard(&hooks);
+    ScopedSysHooks guard(&hooks);
     auto c = Connect();
     ASSERT_TRUE(c->Begin().ok());
     auto oid = c->Create({1, 2, 3, 4, 5, 6, 7, 8});
@@ -397,7 +400,7 @@ TEST_F(ServerChaosTest, ThousandFaultedTransactionsNoHangsNoLeaks) {
   // every transfer is clamped, every 5th call takes EINTR, every 64th
   // stalls a moment. No call in the loop may hang or fail.
   std::atomic<uint64_t> calls{0};
-  SocketHooks hooks;
+  SysHooks hooks;
   auto fault = [&calls](size_t len) -> ssize_t {
     uint64_t n = calls.fetch_add(1, std::memory_order_relaxed);
     if (n % 5 == 4) {
@@ -421,7 +424,7 @@ TEST_F(ServerChaosTest, ThousandFaultedTransactionsNoHangsNoLeaks) {
     return ::recv(fd, buf, static_cast<size_t>(budget), flags);
   };
   {
-    ScopedSocketHooks guard(&hooks);
+    ScopedSysHooks guard(&hooks);
     Client::Options copts;
     copts.io_timeout = std::chrono::seconds(10);
     copts.default_deadline_ms = 5000;
@@ -442,6 +445,118 @@ TEST_F(ServerChaosTest, ThousandFaultedTransactionsNoHangsNoLeaks) {
     server_->Shutdown();  // join all traffic before the hook dies
   }
   server_.reset();
+}
+
+// --- Disk and socket faulted together --------------------------------
+
+// A strict, file-backed server keeps answering while every send is
+// short and then the disk starts failing: each pipelined reply arrives
+// within its deadline, every commit after the fault reports the I/O
+// error (it sticks), and every commit acked before it survives a
+// reopen.
+TEST_F(ServerChaosTest, FsyncFailureUnderShortSendsFailsCommitsAndKeepsAcked) {
+  const std::string path = ::testing::TempDir() + "/asset_chaos_disk.data";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  Database::Options dopts;
+  dopts.path = path;
+  dopts.txn.durability = DurabilityPolicy::kStrict;
+  db_ = Database::Open(dopts).value();
+  server_ = Server::Start(db_.get(), {}).value();
+
+  constexpr int kHealthy = 20, kFaulted = 10;
+  constexpr auto kRoundBound = std::chrono::seconds(5);
+  Client::Options copts;
+  copts.io_timeout = std::chrono::seconds(10);
+  copts.default_deadline_ms = 5000;
+
+  // Objects for both phases exist before any fault. The faulted phase
+  // writes its own objects: a failed commit's records may still reach
+  // the file, and must not shadow an acked value.
+  std::vector<ObjectId> healthy_objs, faulted_objs;
+  {
+    auto setup = Connect(copts);
+    ASSERT_TRUE(setup->Begin().ok());
+    for (int i = 0; i < kHealthy + kFaulted; ++i) {
+      auto oid = setup->Create({0});
+      ASSERT_TRUE(oid.ok());
+      (i < kHealthy ? healthy_objs : faulted_objs).push_back(*oid);
+    }
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+
+  std::atomic<bool> disk_failing{false};
+  std::atomic<uint64_t> short_sends{0}, failed_fsyncs{0};
+  SysHooks hooks;
+  hooks.send = [&](int fd, const void* buf, size_t len, int flags) {
+    if (len > 5) short_sends.fetch_add(1, std::memory_order_relaxed);
+    return ::send(fd, buf, std::min<size_t>(len, 5), flags);
+  };
+  hooks.fsync = [&](int fd) {
+    if (disk_failing.load(std::memory_order_acquire)) {
+      failed_fsyncs.fetch_add(1, std::memory_order_relaxed);
+      errno = EIO;
+      return -1;
+    }
+    return ::fsync(fd);
+  };
+
+  std::vector<std::pair<ObjectId, uint8_t>> acked;
+  {
+    ScopedSysHooks guard(&hooks);
+    auto c = Connect(copts);
+    // One pipelined Begin+Put+Commit round; returns the Commit reply.
+    auto round = [&](ObjectId oid, uint8_t value) -> Result<Reply> {
+      const auto start = std::chrono::steady_clock::now();
+      c->Send(Command::Begin());
+      c->Send(Command::Put(oid, std::vector<uint8_t>{value}));
+      c->Send(Command::Commit());
+      ASSET_RETURN_NOT_OK(c->Flush());
+      Result<Reply> commit = Status::Internal("no commit reply");
+      for (int i = 0; i < 3; ++i) {
+        commit = c->Receive();  // a reply that never came is an error
+        if (!commit.ok()) return commit;
+      }
+      EXPECT_LT(std::chrono::steady_clock::now() - start, kRoundBound);
+      return commit;
+    };
+
+    for (int i = 0; i < kHealthy; ++i) {
+      const uint8_t value = static_cast<uint8_t>(10 + i);
+      auto r = round(healthy_objs[i], value);
+      ASSERT_TRUE(r.ok()) << "round " << i << ": " << r.status().ToString();
+      ASSERT_EQ(r->code, StatusCode::kOk) << "round " << i << ": "
+                                          << r->message;
+      acked.emplace_back(healthy_objs[i], value);
+    }
+    EXPECT_GT(short_sends.load(), 0u);  // the socket fault was live
+
+    disk_failing.store(true, std::memory_order_release);
+    for (int i = 0; i < kFaulted; ++i) {
+      auto r = round(faulted_objs[i], static_cast<uint8_t>(100 + i));
+      ASSERT_TRUE(r.ok()) << "round " << i << ": " << r.status().ToString();
+      EXPECT_EQ(r->code, StatusCode::kIOError) << "round " << i << ": "
+                                               << r->message;
+    }
+    EXPECT_GT(failed_fsyncs.load(), 0u);
+    c.reset();
+    server_.reset();  // join all traffic before the hook dies
+    db_.reset();
+  }
+
+  // Reopen on a healthy disk: recovery replays every acked commit.
+  db_ = Database::Open(dopts).value();
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  for (const auto& [oid, value] : acked) {
+    auto bytes = txn->Read(oid);
+    ASSERT_TRUE(bytes.ok()) << "object " << oid;
+    EXPECT_EQ(*bytes, std::vector<uint8_t>{value}) << "object " << oid;
+  }
+  ASSERT_TRUE(txn->Commit().ok());
+  db_.reset();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 }  // namespace

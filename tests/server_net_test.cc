@@ -362,21 +362,20 @@ TEST_F(ServerNetTest, IdleConnectionsAreReaped) {
 
 // --- Wire tracing (docs/OBSERVABILITY.md) -----------------------------
 
-TEST_F(ServerNetTest, V2HelloWithoutTraceStillAccepted) {
+TEST_F(ServerNetTest, V2HelloIsRejected) {
   StartServer();
   RawConn raw(server_->port());
   Command hello = Command::Hello();
-  hello.version = 2;  // last protocol revision without trace context
+  hello.version = 2;  // the revision before trace context
   raw.SendCommand(hello);
   auto r = raw.ReadReply();
   ASSERT_TRUE(r.has_value());
-  ASSERT_TRUE(r->ok());
-  // The server states its own version; a v2 peer just ignores it.
-  EXPECT_EQ(r->i64, api::kProtocolVersion);
+  EXPECT_EQ(r->code, StatusCode::kInvalidArgument) << r->message;
+  // The handshake did not happen, so the next command is refused too.
   raw.SendCommand(Command::Begin());
   auto begin = raw.ReadReply();
   ASSERT_TRUE(begin.has_value());
-  EXPECT_TRUE(begin->ok());
+  EXPECT_EQ(begin->code, StatusCode::kIllegalState);
 }
 
 TEST_F(ServerNetTest, StageSpansShareWireTraceId) {

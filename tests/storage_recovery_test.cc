@@ -2,11 +2,13 @@
 // replayed during analysis, CLR behaviour, checkpoints, idempotence.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <string>
 
+#include "common/sys_hooks.h"
 #include "storage/recovery.h"
 
 namespace asset {
@@ -293,13 +295,13 @@ TEST_F(RecoveryTest, CheckpointBoundsRecoveryScope) {
   Begin(1);
   Create(1, 10, "v0");
   Commit(1);
-  ASSERT_TRUE(RecoveryManager::Checkpoint(&log_, &pool_).ok());
+  ASSERT_TRUE(RecoveryManager::FuzzyCheckpoint(&log_, &pool_, nullptr).ok());
   Begin(2);
   Update(2, 10, "v0", "v1");
   Commit(2);
   auto report = Crash();
   EXPECT_EQ(Value(10), "v1");
-  // Only post-checkpoint records were scanned.
+  // Only the checkpoint record and the records after it were scanned.
   EXPECT_LE(report.records_scanned, 4u);
 }
 
@@ -473,18 +475,25 @@ TEST(FuzzyCheckpointTest, PageRedirtiedDuringTheForceIsWrittenBack) {
   ASSERT_TRUE(pool.FlushAll().ok());  // start from clean pages
   const Lsn first = put("v0");  // dirties the page with rec_lsn == first
   bool redirtied = false;
-  log.SetFsyncHookForTest([&] {
-    if (redirtied) return;
-    redirtied = true;
-    put("v1");  // the page turns hot during the checkpoint's WAL force
-  });
-  auto ckpt = RecoveryManager::FuzzyCheckpoint(
-      &log, &pool, nullptr, std::chrono::milliseconds(1000));
+  // The log is the only file here, so every fsync is a WAL force.
+  SysHooks hooks;
+  hooks.fsync = [&](int fd) {
+    if (!redirtied) {
+      redirtied = true;
+      put("v1");  // the page turns hot during the checkpoint's WAL force
+    }
+    return ::fsync(fd);
+  };
+  Result<Lsn> ckpt = Status::Internal("checkpoint not run");
+  {
+    ScopedSysHooks guard(&hooks);
+    ckpt = RecoveryManager::FuzzyCheckpoint(&log, &pool, nullptr,
+                                            std::chrono::milliseconds(1000));
+  }
   ASSERT_TRUE(ckpt.ok());
   EXPECT_TRUE(redirtied);
   EXPECT_TRUE(pool.DirtyPageTable().empty());
   EXPECT_GT(log.checkpoint_min_recovery_lsn(), first);
-  log.SetFsyncHookForTest(nullptr);
   std::remove(path.c_str());
 }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/sys_hooks.h"
 #include "core/database.h"
 #include "core/database_internal.h"
 #include "storage/wal.h"
@@ -32,6 +34,29 @@ LogRecord UpdateRec(Tid tid, ObjectId oid, std::string before,
   r.before.assign(before.begin(), before.end());
   r.after.assign(after.begin(), after.end());
   return r;
+}
+
+// A fuzzy checkpoint cut at `begin` with nothing active and no dirty
+// page: its watermark is begin + 1, the checkpoint record's own lsn when
+// it is the next append.
+LogRecord CheckpointRec(Lsn begin) {
+  FuzzyCheckpointImage image;
+  image.begin_lsn = begin;
+  image.min_recovery_lsn = begin + 1;
+  LogRecord r;
+  r.type = LogRecordType::kFuzzyCheckpoint;
+  r.after = image.Encode();
+  return r;
+}
+
+// Fails every fsync with EIO, as a dying disk would.
+SysHooks FailingFsync() {
+  SysHooks hooks;
+  hooks.fsync = [](int) {
+    errno = EIO;
+    return -1;
+  };
+  return hooks;
 }
 
 TEST(LogRecordTest, EncodeDecodeRoundTrip) {
@@ -83,6 +108,18 @@ TEST(LogRecordTest, DecodeBitflipIsCorruption) {
             StatusCode::kCorruption);
 }
 
+// Type 9 was the quiescent checkpoint; a well-framed record of that type
+// is not a record any more.
+TEST(LogRecordTest, RetiredTypeNineIsCorruption) {
+  LogRecord r;
+  r.type = static_cast<LogRecordType>(9);
+  std::vector<uint8_t> buf;
+  r.EncodeTo(&buf);
+  size_t off = 0;
+  EXPECT_EQ(LogRecord::DecodeFrom(buf, &off).status().code(),
+            StatusCode::kCorruption);
+}
+
 TEST(LogManagerTest, AppendAssignsDenseLsns) {
   LogManager log;
   EXPECT_EQ(log.Append(UpdateRec(1, 1, "", "a")), 1u);
@@ -126,9 +163,7 @@ TEST(LogManagerTest, ReadDurableExcludesTail) {
 TEST(LogManagerTest, CheckpointLsnTracksDurableCheckpoints) {
   LogManager log;
   log.Append(UpdateRec(1, 1, "", "a"));
-  LogRecord cp;
-  cp.type = LogRecordType::kCheckpoint;
-  log.Append(std::move(cp));
+  log.Append(CheckpointRec(1));
   EXPECT_EQ(log.last_checkpoint_lsn(), 0u);  // not durable yet
   log.Flush();
   EXPECT_EQ(log.last_checkpoint_lsn(), 2u);
@@ -297,7 +332,8 @@ TEST(LogFileTest, FlushErrorSurfacesToWaitersAndSticks) {
   LogManager log;
   ASSERT_TRUE(log.AttachFile(path).ok());
   Lsn lsn = log.Append(UpdateRec(1, 1, "a", "b"));
-  log.InjectFlushErrorForTest(Status::IOError("injected device failure"));
+  const SysHooks failing = FailingFsync();
+  ScopedSysHooks guard(&failing);
   Status s = log.Flush(lsn);
   EXPECT_EQ(s.code(), StatusCode::kIOError);
   EXPECT_EQ(log.durable_lsn(), 0u);  // the boundary must not advance
@@ -317,7 +353,8 @@ TEST(LogFileTest, RequestFlushSurfacesTheStickyError) {
   Lsn ok_lsn = log.Append(UpdateRec(1, 1, "", "a"));
   ASSERT_TRUE(log.Flush(ok_lsn).ok());
   Lsn lost = log.Append(UpdateRec(1, 1, "a", "b"));
-  log.InjectFlushErrorForTest(Status::IOError("injected device failure"));
+  const SysHooks failing = FailingFsync();
+  ScopedSysHooks guard(&failing);
   EXPECT_EQ(log.Flush(lost).code(), StatusCode::kIOError);
   // The no-wait nudge reports the same sticky failure: a relaxed-mode
   // commit ack must not read as OK when nothing can ever become durable
@@ -339,8 +376,12 @@ TEST(LogFileTest, LoneFlusherFsyncsOnTheCallingThread) {
     LogManager log;
     ASSERT_TRUE(log.AttachFile(path).ok());
     std::set<std::thread::id> fsync_threads;
-    log.SetFsyncHookForTest(
-        [&] { fsync_threads.insert(std::this_thread::get_id()); });
+    SysHooks hooks;
+    hooks.fsync = [&](int fd) {
+      fsync_threads.insert(std::this_thread::get_id());
+      return ::fsync(fd);
+    };
+    ScopedSysHooks guard(&hooks);
     log.Append(UpdateRec(1, 5, "a", "b"));
     Lsn lsn = log.Append(UpdateRec(1, 5, "b", "c"));
     ASSERT_TRUE(log.Flush(lsn).ok());
@@ -361,9 +402,7 @@ TEST(LogFileTest, CheckpointLsnRestoredFromFile) {
     LogManager log;
     ASSERT_TRUE(log.AttachFile(path).ok());
     log.Append(UpdateRec(1, 1, "", "x"));
-    LogRecord cp;
-    cp.type = LogRecordType::kCheckpoint;
-    log.Append(std::move(cp));
+    log.Append(CheckpointRec(1));
     ASSERT_TRUE(log.Flush().ok());
   }
   LogManager log;
@@ -498,14 +537,22 @@ TEST(WalPipelineTest, KernelRunsWhileAFsyncIsHeldOpen) {
   std::mutex mu;
   std::condition_variable cv;
   bool in_fsync = false, released = false, held_too_long = false;
-  LogOf(*db).SetFsyncHookForTest([&] {
-    std::unique_lock<std::mutex> lk(mu);
-    if (in_fsync) return;  // hold only the first fsync
-    in_fsync = true;
-    cv.notify_all();
-    held_too_long =
-        !cv.wait_for(lk, std::chrono::seconds(10), [&] { return released; });
-  });
+  // The only fsync in this window is the commit's WAL flush (no
+  // checkpoint runs), so the hook need not filter on the fd.
+  SysHooks hooks;
+  hooks.fsync = [&](int fd) {
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      if (!in_fsync) {  // hold only the first fsync
+        in_fsync = true;
+        cv.notify_all();
+        held_too_long = !cv.wait_for(lk, std::chrono::seconds(10),
+                                     [&] { return released; });
+      }
+    }
+    return ::fsync(fd);
+  };
+  auto guard = std::make_unique<ScopedSysHooks>(&hooks);
   Status commit_status;
   std::thread committer([&] {
     auto txn = db->Begin();
@@ -538,7 +585,7 @@ TEST(WalPipelineTest, KernelRunsWhileAFsyncIsHeldOpen) {
   EXPECT_TRUE(entered);
   EXPECT_FALSE(held_too_long);  // the transaction did not need the hook
   EXPECT_TRUE(commit_status.ok());
-  LogOf(*db).SetFsyncHookForTest(nullptr);
+  guard.reset();
   db.reset();
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
@@ -620,7 +667,11 @@ TEST(WalPipelineTest, StolenPageNeverOutrunsTheCreateRecord) {
 // but once the WAL has a sticky I/O failure, acks must fail rather than
 // report OK forever while nothing can become durable.
 TEST(WalPipelineTest, RelaxedCommitAcksFailAfterTheWalGoesBad) {
+  std::string path = ::testing::TempDir() + "/asset_wal_relaxed_bad.data";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
   Database::Options opts;
+  opts.path = path;  // file-backed: the log's fsync can fail
   opts.txn.durability = DurabilityPolicy::kRelaxed;
   auto open = Database::Open(opts);
   ASSERT_TRUE(open.ok());
@@ -632,10 +683,11 @@ TEST(WalPipelineTest, RelaxedCommitAcksFailAfterTheWalGoesBad) {
     ASSERT_TRUE(txn->Create<int>(1).ok());
     ASSERT_TRUE(txn->Commit().ok());  // healthy: the no-wait ack is OK
   }
-  LogOf(*db).InjectFlushErrorForTest(Status::IOError("injected device failure"));
-  // The injection fires on the next flush that actually runs; at this
-  // point everything is already durable, so push fresh records through
-  // a failing flush to make the error stick. This commit's own no-wait
+  const SysHooks failing = FailingFsync();
+  auto guard = std::make_unique<ScopedSysHooks>(&failing);
+  // The fault fires on the next flush that actually runs; at this point
+  // everything is already durable, so push fresh records through a
+  // failing flush to make the error stick. This commit's own no-wait
   // ack may be taken by a running leader and return OK before the error
   // lands, so no assertion on it.
   {
@@ -651,6 +703,10 @@ TEST(WalPipelineTest, RelaxedCommitAcksFailAfterTheWalGoesBad) {
     ASSERT_TRUE(txn->Create<int>(3).ok());
     EXPECT_EQ(txn->Commit().code(), StatusCode::kIOError);
   }
+  db.reset();
+  guard.reset();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 // --- Fuzzy-checkpoint image codec and prefix truncation ------------------
@@ -699,15 +755,14 @@ TEST(LogManagerTest, TruncatePrefixDropsOnlyTheDurableRedundantPrefix) {
   LogManager log;
   log.Append(UpdateRec(1, 1, "", "a"));
   log.Append(UpdateRec(1, 1, "a", "b"));
-  LogRecord cp;
-  cp.type = LogRecordType::kCheckpoint;
-  Lsn cp_lsn = log.Append(std::move(cp));
+  Lsn cp_lsn = log.Append(CheckpointRec(2));
   log.Append(UpdateRec(2, 1, "b", "c"));
   ASSERT_TRUE(log.Flush().ok());
   auto dropped = log.TruncatePrefix();
   ASSERT_TRUE(dropped.ok());
-  // A quiescent checkpoint's watermark is its own lsn: both earlier
-  // updates go; the checkpoint record and the tail stay, lsns intact.
+  // With nothing active the watermark is the checkpoint's own lsn: both
+  // earlier updates go; the checkpoint record and the tail stay, lsns
+  // intact.
   EXPECT_EQ(*dropped, 2u);
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.ReadAll().front().lsn, cp_lsn);
@@ -720,29 +775,34 @@ TEST(LogManagerTest, TruncatePrefixDropsOnlyTheDurableRedundantPrefix) {
 TEST(LogManagerTest, SimulateCrashAfterTruncationKeepsDurablePrefix) {
   LogManager log;
   log.Append(UpdateRec(1, 1, "", "a"));
-  LogRecord cp;
-  cp.type = LogRecordType::kCheckpoint;
-  log.Append(std::move(cp));
+  log.Append(CheckpointRec(1));
   ASSERT_TRUE(log.Flush().ok());
   ASSERT_TRUE(log.TruncatePrefix().ok());
   log.Append(UpdateRec(2, 1, "a", "b"));  // volatile tail
   log.SimulateCrash();
   EXPECT_EQ(log.last_lsn(), 2u);  // tail gone, truncated prefix stable
   EXPECT_EQ(log.ReadAll().size(), 1u);
-  EXPECT_EQ(log.ReadAll().front().type, LogRecordType::kCheckpoint);
+  EXPECT_EQ(log.ReadAll().front().type, LogRecordType::kFuzzyCheckpoint);
 }
 
+// File-backed: only a log with a device makes syscalls that can fail.
 TEST(LogManagerTest, TruncateRefusedOnStickyIoError) {
+  std::string path = ::testing::TempDir() + "/asset_wal_trunc_ioerr.wal";
+  std::remove(path.c_str());
   LogManager log;
+  ASSERT_TRUE(log.AttachFile(path).ok());
   log.Append(UpdateRec(1, 1, "", "a"));
-  LogRecord cp;
-  cp.type = LogRecordType::kCheckpoint;
-  log.Append(std::move(cp));
+  log.Append(CheckpointRec(1));
   ASSERT_TRUE(log.Flush().ok());
-  log.InjectFlushErrorForTest(Status::IOError("injected"));
-  log.Append(UpdateRec(1, 1, "a", "b"));
+  {
+    const SysHooks failing = FailingFsync();
+    ScopedSysHooks guard(&failing);
+    log.Append(UpdateRec(1, 1, "a", "b"));
+    ASSERT_FALSE(log.Flush().ok());
+  }
   ASSERT_FALSE(log.Flush().ok());  // the error sticks
   EXPECT_EQ(log.TruncatePrefix().status().code(), StatusCode::kIllegalState);
+  std::remove(path.c_str());
 }
 
 TEST(LogFileTest, TruncatedFileReattachesWithOriginalLsns) {
@@ -753,9 +813,7 @@ TEST(LogFileTest, TruncatedFileReattachesWithOriginalLsns) {
     ASSERT_TRUE(log.AttachFile(path).ok());
     log.Append(UpdateRec(1, 1, "", "a"));
     log.Append(UpdateRec(1, 1, "a", "b"));
-    LogRecord cp;
-    cp.type = LogRecordType::kCheckpoint;
-    log.Append(std::move(cp));
+    log.Append(CheckpointRec(2));
     log.Append(UpdateRec(2, 1, "b", "c"));
     ASSERT_TRUE(log.Flush().ok());
     auto dropped = log.TruncatePrefix();
@@ -782,9 +840,7 @@ TEST(LogManagerTest, AppendedBytesGrowsAndSurvivesTruncation) {
   log.Append(UpdateRec(1, 1, "", "aaaa"));
   uint64_t b1 = log.appended_bytes();
   EXPECT_GT(b1, b0);
-  LogRecord cp;
-  cp.type = LogRecordType::kCheckpoint;
-  log.Append(std::move(cp));
+  log.Append(CheckpointRec(1));
   ASSERT_TRUE(log.Flush().ok());
   uint64_t b2 = log.appended_bytes();
   ASSERT_TRUE(log.TruncatePrefix().ok());
