@@ -46,9 +46,11 @@ bool ApiSession::AbortOwned(Tid wire_tid) {
 }
 
 Reply ApiSession::Execute(const Command& cmd,
-                          std::chrono::steady_clock::time_point arrival) {
+                          std::chrono::steady_clock::time_point arrival,
+                          Lsn* gate) {
+  if (gate != nullptr) *gate = kNullLsn;
   if (cmd.deadline_ms == 0 || cmd.type == CommandType::kAbort) {
-    return Execute(cmd);
+    return Dispatch(cmd, gate);
   }
   const auto deadline = arrival + std::chrono::milliseconds(cmd.deadline_ms);
   if (std::chrono::steady_clock::now() >= deadline) {
@@ -66,7 +68,7 @@ Reply ApiSession::Execute(const Command& cmd,
   Reply reply;
   {
     ScopedOpDeadline guard(deadline);
-    reply = Execute(cmd);
+    reply = Dispatch(cmd, gate);
   }
   if (reply.code == StatusCode::kTimedOut && TargetsOwnedTxn(cmd.type)) {
     // The kernel wait hit the deadline. The operation itself unwound
@@ -97,7 +99,7 @@ Txn* ApiSession::Resolve(Tid wire_tid, Reply* error) {
   return &it->second;
 }
 
-Reply ApiSession::Execute(const Command& cmd) {
+Reply ApiSession::Dispatch(const Command& cmd, Lsn* gate) {
   if (limits_.require_hello && !handshaken_ &&
       cmd.type != CommandType::kHello) {
     return Reply::FromStatus(
@@ -142,7 +144,7 @@ Reply ApiSession::Execute(const Command& cmd) {
       Txn* txn = Resolve(cmd.tid, &error);
       if (txn == nullptr) return error;
       Tid t = txn->id();
-      Status s = cmd.type == CommandType::kCommit ? txn->Commit()
+      Status s = cmd.type == CommandType::kCommit ? txn->Commit(gate)
                                                   : txn->Abort();
       txns_.erase(t);
       if (current_ == t) current_ = kNullTid;

@@ -69,7 +69,7 @@ class ApiSession {
   /// failure is a Reply with the status code and message. Ignores any
   /// deadline the command carries (in-process callers have no arrival
   /// anchor); the wire server uses the overload below.
-  Reply Execute(const Command& cmd);
+  Reply Execute(const Command& cmd) { return Dispatch(cmd, nullptr); }
 
   /// Executes one command whose deadline budget (if any) is anchored at
   /// `arrival` — the moment the command's bytes were received. An
@@ -80,8 +80,14 @@ class ApiSession {
   /// remaining budget and gets the same abort treatment if a wait times
   /// out. kAbort is exempt: aborts are how deadlines clean up, so they
   /// always dispatch.
+  ///
+  /// A non-null `gate` is the durability gate of a strict kCommit (see
+  /// TransactionManager::CommitTxn): set to the commit lsn when the
+  /// returned OK may be sent only once `durable_lsn() >= *gate`, else
+  /// to kNullLsn. The gate is server-internal; it is never encoded.
   Reply Execute(const Command& cmd,
-                std::chrono::steady_clock::time_point arrival);
+                std::chrono::steady_clock::time_point arrival,
+                Lsn* gate = nullptr);
 
   /// Aborts every open transaction now (graceful server drain).
   void AbortAll();
@@ -95,6 +101,8 @@ class ApiSession {
   const DeadlineStats& deadline_stats() const { return deadline_stats_; }
 
  private:
+  /// Execute's body; `gate` as in the arrival-anchored overload.
+  Reply Dispatch(const Command& cmd, Lsn* gate);
   /// Maps a wire tid to an owned transaction handle, resolving
   /// kCurrentTxn. Null on failure, with *error filled.
   Txn* Resolve(Tid wire_tid, Reply* error);

@@ -113,8 +113,10 @@ class Txn {
   const Status& last_status() const { return last_status_; }
 
   /// Blocking commit; the handle becomes inactive either way. Returns
-  /// the kernel's verdict (kTxnAborted carries the abort reason).
-  Status Commit();
+  /// the kernel's verdict (kTxnAborted carries the abort reason). A
+  /// non-null `gate` defers a strict commit's durability wait to the
+  /// caller, as TransactionManager::CommitTxn describes.
+  Status Commit(Lsn* gate = nullptr);
 
   /// Aborts; the handle becomes inactive. OK if already aborted.
   Status Abort();
@@ -508,7 +510,7 @@ class Database {
 
 // --- Txn inline definitions (need the complete Database type) ------------
 
-inline Status Txn::Commit() {
+inline Status Txn::Commit(Lsn* gate) {
   if (!active()) {
     return Track(Status::IllegalState("transaction handle is inactive"));
   }
@@ -516,7 +518,7 @@ inline Status Txn::Commit() {
   Tid tid = tid_;
   db_ = nullptr;
   tid_ = kNullTid;
-  return Track(db->txn().CommitTxn(tid));
+  return Track(db->txn().CommitTxn(tid, gate));
 }
 
 inline Status Txn::Abort() {

@@ -24,8 +24,7 @@
 ///  - The global mutex `KernelSync::mu` still serializes the structures
 ///    that are inherently global: the TD table, the dependency graph,
 ///    commit-group evaluation, and permit-table mutation. Its condition
-///    variable is used only for idle/shutdown accounting (WaitIdle and
-///    the destructor's thread drain).
+///    variable is used only for the destructor's thread drain.
 ///
 /// Lock ordering (outermost first):
 ///   KernelSync::mu  ->  LockManager shard latch  ->  TD::lrds_mu
@@ -48,9 +47,9 @@ namespace asset {
 
 /// The global kernel mutex. Guards the TD table, tombstones, dependency
 /// graph, commit evaluation, and transaction lifecycle transitions. The
-/// condition variable signals only idle/shutdown transitions
-/// (active_count / live_threads reaching zero); per-transaction blocking
-/// uses the channels on the TD instead.
+/// condition variable signals only the shutdown drain (live_threads
+/// reaching zero); per-transaction blocking uses the channels on the TD
+/// instead.
 struct KernelSync {
   std::mutex mu;
   std::condition_variable cv;

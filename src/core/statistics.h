@@ -80,7 +80,8 @@ namespace asset {
 
 /// Every kernel latency histogram: X(field). Recorded in nanoseconds.
 #define ASSET_KERNEL_HISTOGRAMS(X)                                         \
-  /* CommitTxn entry to durable ack (successful commits only). */          \
+  /* CommitTxn entry to durable ack, or to the durability-gate             \
+     hand-off of a gated commit (successful commits only). */              \
   X(commit_latency)                                                        \
   /* Lock-manager block to wake, blocking acquires only. */                \
   X(lock_wait_latency)                                                     \

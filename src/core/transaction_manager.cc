@@ -409,13 +409,14 @@ void TransactionManager::ThreadMain(TransactionDescriptor* td) {
 
 bool TransactionManager::Commit(Tid t) { return CommitTxn(t).ok(); }
 
-Status TransactionManager::CommitTxn(Tid t) {
+Status TransactionManager::CommitTxn(Tid t, Lsn* gate) {
   const int64_t commit_start_ns = FlightRecorder::NowNs();
+  if (gate != nullptr) *gate = kNullLsn;
   // Successful-commit ack: durability wait (mutex released by the
   // caller first) plus the commit-latency sample, measured from the
-  // CommitTxn entry to the durable ack.
+  // CommitTxn entry to the durable ack (or to the gate hand-off).
   auto ack = [&](Lsn commit_lsn) {
-    Status s = AwaitCommitDurable(t, commit_lsn);
+    Status s = AwaitCommitDurable(t, commit_lsn, gate);
     int64_t dur = FlightRecorder::NowNs() - commit_start_ns;
     if (dur < 0) dur = 0;
     stats_.commit_latency.Record(static_cast<uint64_t>(dur));
@@ -701,11 +702,11 @@ Lsn TransactionManager::CommitGroupLocked(
     // cv (whoever called commit first), not necessarily w's own.
     WakeGroupLocked(w);
   }
-  sync_.cv.notify_all();  // active_count_ changed (WaitIdle)
   return group_lsn;
 }
 
-Status TransactionManager::AwaitCommitDurable(Tid t, Lsn commit_lsn) {
+Status TransactionManager::AwaitCommitDurable(Tid t, Lsn commit_lsn,
+                                              Lsn* gate) {
   if (!options_.force_log_at_commit || commit_lsn == kNullLsn) {
     return Status::OK();
   }
@@ -719,6 +720,10 @@ Status TransactionManager::AwaitCommitDurable(Tid t, Lsn commit_lsn) {
     // The ack actually has to lead or follow a flush (vs riding a batch
     // that already landed).
     stats_.commit_stalls.fetch_add(1, std::memory_order_relaxed);
+    if (gate != nullptr && log_->file_backed()) {
+      *gate = commit_lsn;  // the caller acks once the flush lands
+      return Status::OK();
+    }
     int64_t stall_start_ns = FlightRecorder::NowNs();
     Status s = log_->WaitDurable(commit_lsn);
     int64_t dur = FlightRecorder::NowNs() - stall_start_ns;
@@ -826,7 +831,6 @@ void TransactionManager::FinishAbortClosureLocked(
   assert(undo.ok());
   (void)undo;
   for (TransactionDescriptor* m : finalizable) FinalizeAbortLocked(m);
-  sync_.cv.notify_all();  // active_count_ changed (WaitIdle)
 }
 
 void TransactionManager::FinalizeAbortLocked(TransactionDescriptor* td) {
@@ -1265,16 +1269,6 @@ Result<int64_t> TransactionManager::ReadCounter(Tid t, ObjectId oid) {
 size_t TransactionManager::ActiveTransactions() const {
   std::lock_guard<std::mutex> lk(sync_.mu);
   return active_count_;
-}
-
-bool TransactionManager::WaitIdle(std::chrono::milliseconds timeout) const {
-  std::unique_lock<std::mutex> lk(sync_.mu);
-  auto idle = [&] { return active_count_ == 0 && live_threads_ == 0; };
-  if (timeout.count() == 0) {
-    sync_.cv.wait(lk, idle);
-    return true;
-  }
-  return sync_.cv.wait_for(lk, timeout, idle);
 }
 
 std::vector<FuzzyCheckpointImage::TxnEntry>

@@ -170,7 +170,15 @@ class TransactionManager {
   /// reason) if t aborted instead; kTimedOut if dependencies stayed
   /// unresolved within the commit timeout (t is aborted then, so the
   /// failure is truthful); kNotFound for a tid that never existed.
-  Status CommitTxn(Tid t);
+  ///
+  /// With a non-null `gate`, a strict commit whose record still needs
+  /// device I/O to become durable does not wait for it: the commit is
+  /// applied, *gate is set to its commit lsn, and OK means "committed,
+  /// durable once durable_lsn() >= *gate". The caller must not
+  /// acknowledge the commit before then (LogManager::WaitDurable), and
+  /// must report that wait's failure as the commit's. Every other
+  /// outcome sets *gate to kNullLsn and is final, as without a gate.
+  Status CommitTxn(Tid t, Lsn* gate = nullptr);
 
   /// wait(t): returns 1 once t's code has completed (or t committed),
   /// 0 if t has aborted. From t's own thread it reports whether t is
@@ -305,11 +313,6 @@ class TransactionManager {
   /// Count of begun-but-unterminated transactions.
   size_t ActiveTransactions() const;
 
-  /// Blocks until no transaction is active.
-  /// False if `timeout` elapsed first (zero = wait forever).
-  bool WaitIdle(std::chrono::milliseconds timeout =
-                    std::chrono::milliseconds(0)) const;
-
   /// The active-transaction table for a fuzzy checkpoint: every begun,
   /// unterminated transaction with a copy of the lsns of the data
   /// operations it is responsible for (delegation folded in). One
@@ -383,11 +386,13 @@ class TransactionManager {
   /// The durability side of the commit ack, run with the kernel mutex
   /// RELEASED: no-op when the log is not forced at commit; a no-wait
   /// RequestFlush under DurabilityPolicy::kRelaxed; a
-  /// WaitDurable(commit_lsn) under kStrict. A flush failure surfaces
+  /// WaitDurable(commit_lsn) under kStrict — unless `gate` is non-null
+  /// and the wait needs device I/O, which is then handed to the caller
+  /// as *gate = commit_lsn (see CommitTxn). A flush failure surfaces
   /// here as the commit's return Status (the commit is applied in
   /// memory regardless). `t` is
   /// the committing transaction, for the commit-stall trace event.
-  Status AwaitCommitDurable(Tid t, Lsn commit_lsn);
+  Status AwaitCommitDurable(Tid t, Lsn commit_lsn, Lsn* gate);
 
   /// Marks `td` aborting (recording `reason` as its abort reason if none
   /// is set yet) and wakes its observers: its lifecycle waiters, a lock

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -25,7 +26,7 @@
 #include "common/histogram.h"
 #include "common/sys_hooks.h"
 #include "common/trace.h"
-#include "core/database.h"
+#include "core/database_internal.h"
 
 namespace asset::server {
 
@@ -183,6 +184,15 @@ struct Server::Impl {
     int64_t ts_ns = 0;        ///< set at flush: completion, trace clock
   };
 
+  /// A reply that may not be sent yet: either a strict commit's, gated
+  /// on its commit record becoming durable, or any reply queued behind
+  /// one on the same connection (replies never overtake each other).
+  struct HeldReply {
+    api::Reply reply;
+    Lsn gate = kNullLsn;  ///< kNullLsn: only ordered behind a gated one
+    std::optional<PendingReply> stage;  ///< booked once the reply is queued
+  };
+
   /// Per-command-tag stage latencies (recorded for every request,
   /// traced or not; Record is three relaxed fetch_adds).
   struct StageHistograms {
@@ -222,6 +232,9 @@ struct Server::Impl {
     std::deque<PendingReply> pending_replies;
     uint64_t out_total_queued = 0;
     uint64_t out_total_sent = 0;
+    /// Replies not yet encoded into `out`, in reply order; the first is
+    /// always gated. Released by ReleaseGated at the end of the round.
+    std::vector<HeldReply> held;
 
     size_t pending_out() const { return out.size() - out_off; }
     size_t pending_in() const { return in.size() - in_off; }
@@ -234,9 +247,15 @@ struct Server::Impl {
     std::mutex intake_mu;
     std::vector<int> intake;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
+    /// Highest durability gate held this round (kNullLsn = none), and
+    /// the connections holding replies behind a gate.
+    Lsn max_gate = kNullLsn;
+    std::vector<int> gated;
   };
 
   Database* db = nullptr;
+  /// The database's WAL, for resolving durability gates.
+  LogManager* log = nullptr;
   Options options;
   ServerStats* stats = nullptr;
   /// The kernel's flight recorder; server stage spans land in the same
@@ -313,27 +332,14 @@ struct Server::Impl {
     auto last_idle_sweep = std::chrono::steady_clock::now();
     while (!stop.load(std::memory_order_acquire)) {
       int timeout_ms = options.idle_timeout.count() > 0 ? 100 : 1000;
-      int n = epoll_wait(w->epoll_fd, events, kMaxEpollEvents, timeout_ms);
-      for (int i = 0; i < n; ++i) {
-        if (events[i].data.fd == w->wake_fd) {
-          uint64_t drain;
-          while (read(w->wake_fd, &drain, sizeof(drain)) > 0) {
-          }
-          AdoptIntake(w);
-          continue;
-        }
-        auto it = w->conns.find(events[i].data.fd);
-        if (it == w->conns.end()) continue;
-        Conn* c = it->second.get();
-        uint32_t ev = events[i].events;
-        if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
-          CloseConn(w, c);
-          continue;
-        }
-        bool alive = true;
-        if ((ev & EPOLLOUT) != 0) alive = HandleWrite(w, c);
-        if (alive && (ev & EPOLLIN) != 0) HandleRead(w, c);
+      HandleEvents(w, events, epoll_wait(w->epoll_fd, events, kMaxEpollEvents,
+                                         timeout_ms));
+      if (w->max_gate != kNullLsn) {
+        // Commands that arrived while the round ran join its flush.
+        HandleEvents(w, events,
+                     epoll_wait(w->epoll_fd, events, kMaxEpollEvents, 0));
       }
+      ReleaseGated(w);
       if (options.idle_timeout.count() > 0) {
         auto now = std::chrono::steady_clock::now();
         if (now - last_idle_sweep >= options.idle_timeout / 4 ||
@@ -344,6 +350,30 @@ struct Server::Impl {
       }
     }
     DrainAndCloseAll(w);
+  }
+
+  /// Serves one epoll_wait's worth of readiness events.
+  void HandleEvents(Worker* w, const epoll_event* events, int n) {
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd == w->wake_fd) {
+        uint64_t drain;
+        while (read(w->wake_fd, &drain, sizeof(drain)) > 0) {
+        }
+        AdoptIntake(w);
+        continue;
+      }
+      auto it = w->conns.find(events[i].data.fd);
+      if (it == w->conns.end()) continue;
+      Conn* c = it->second.get();
+      uint32_t ev = events[i].events;
+      if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
+        CloseConn(w, c);
+        continue;
+      }
+      bool alive = true;
+      if ((ev & EPOLLOUT) != 0) alive = HandleWrite(w, c);
+      if (alive && (ev & EPOLLIN) != 0) HandleRead(w, c);
+    }
   }
 
   void AdoptIntake(Worker* w) {
@@ -409,20 +439,23 @@ struct Server::Impl {
     c->last_activity = std::chrono::steady_clock::now();
     c->batch_arrival = c->last_activity;
     c->batch_arrival_ns = FlightRecorder::NowNs();
-    ProcessFrames(c);
+    ProcessFrames(w, c);
     if (eof && !c->closing) {
       // Whatever remains buffered is (at most) a truncated frame; the
       // peer is gone, so flush nothing more and abort its sessions.
+      // Held replies are dropped: their commits stand, unacked.
       CloseConn(w, c);
       return;
     }
     if (w->conns.count(c->fd) == 0) return;  // closed during processing
-    FlushOut(w, c);
+    // A connection holding gated replies is flushed by ReleaseGated at
+    // the end of this round: one send for all of its replies.
+    if (c->held.empty()) FlushOut(w, c);
   }
 
   /// Decodes and dispatches every complete frame in `c->in`, queueing
   /// replies into `c->out` (one flush at the end = batched pipeline).
-  void ProcessFrames(Conn* c) {
+  void ProcessFrames(Worker* w, Conn* c) {
     while (!c->closing) {
       std::span<const uint8_t> buffered(c->in.data() + c->in_off,
                                         c->pending_in());
@@ -432,7 +465,7 @@ struct Server::Impl {
       if (split == api::FrameSplit::kNeedMore) break;
       if (split == api::FrameSplit::kOversized) {
         stats->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        QueueReply(c, api::Reply::FromStatus(Status::InvalidArgument(
+        Deliver(w, c, api::Reply::FromStatus(Status::InvalidArgument(
                           "frame: length 0 or above max_frame_bytes")));
         c->closing = true;
         break;
@@ -442,7 +475,7 @@ struct Server::Impl {
       stats->frames_in.fetch_add(1, std::memory_order_relaxed);
       if (!cmd.ok()) {
         stats->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        QueueReply(c, api::Reply::FromStatus(cmd.status()));
+        Deliver(w, c, api::Reply::FromStatus(cmd.status()));
         c->closing = true;
         break;
       }
@@ -466,10 +499,8 @@ struct Server::Impl {
             rec->Emit(TraceEventType::kAdmission, trace, span, tag, 1);
           }
           stage_hist[tag].queue.Record(static_cast<uint64_t>(queue_ns));
-          api::Reply shed = ShedReply(lag);
-          QueueReply(c, shed);
-          FinishDispatch(c, *cmd, shed, queue_ns, /*execute_ns=*/0,
-                         /*kernel_tid=*/0, t_dispatch);
+          FinishDispatch(w, c, *cmd, ShedReply(lag), kNullLsn, queue_ns,
+                         /*execute_ns=*/0, /*kernel_tid=*/0, t_dispatch);
           continue;
         }
         if (trace != 0) {
@@ -478,7 +509,8 @@ struct Server::Impl {
       }
       auto dl_before = c->session.deadline_stats();
       size_t txns_before = c->session.open_txns();
-      api::Reply reply = c->session.Execute(*cmd, c->batch_arrival);
+      Lsn gate = kNullLsn;
+      api::Reply reply = c->session.Execute(*cmd, c->batch_arrival, &gate);
       const int64_t t_done = FlightRecorder::NowNs();
       const int64_t execute_ns = t_done - t_dispatch;
       // The kernel tid bridges the wire trace to kernel events (lock
@@ -510,9 +542,8 @@ struct Server::Impl {
       if (cmd->type == api::CommandType::kSlowLog && reply.ok()) {
         reply.text = RenderSlowLogJson();
       }
-      QueueReply(c, reply);
-      FinishDispatch(c, *cmd, reply, queue_ns, execute_ns, kernel_tid,
-                     FlightRecorder::NowNs());
+      FinishDispatch(w, c, *cmd, std::move(reply), gate, queue_ns,
+                     execute_ns, kernel_tid, FlightRecorder::NowNs());
     }
     // Lazy compaction: drop the consumed prefix once it dominates.
     if (c->in_off > 0 &&
@@ -550,20 +581,71 @@ struct Server::Impl {
     return r;
   }
 
-  void QueueReply(Conn* c, const api::Reply& reply) {
+  /// Queues `reply` for sending — or holds it, if `gate` is set or an
+  /// earlier reply of `c` is held — with `stage` (if any) booked once
+  /// its bytes are queued.
+  void Deliver(Worker* w, Conn* c, api::Reply reply, Lsn gate = kNullLsn,
+               const PendingReply* stage = nullptr) {
+    if (gate == kNullLsn && c->held.empty()) {
+      QueueReply(c, reply, stage);
+      return;
+    }
+    if (gate != kNullLsn) {
+      w->max_gate = std::max(w->max_gate, gate);
+      if (c->held.empty()) w->gated.push_back(c->fd);
+    }
+    HeldReply h{std::move(reply), gate, std::nullopt};
+    if (stage != nullptr) h.stage = *stage;
+    c->held.push_back(std::move(h));
+  }
+
+  /// Encodes `reply` into `c->out`, booking `stage` (if any) at the
+  /// reply's end byte.
+  void QueueReply(Conn* c, const api::Reply& reply,
+                  const PendingReply* stage) {
     const size_t before = c->out.size();
     std::vector<uint8_t> payload;
     api::EncodeReply(reply, &payload);
     api::AppendFrame(payload, &c->out);
     c->out_total_queued += c->out.size() - before;
     stats->frames_out.fetch_add(1, std::memory_order_relaxed);
+    if (stage == nullptr) return;
+    PendingReply p = *stage;
+    p.out_end = c->out_total_queued;
+    p.code = static_cast<uint8_t>(reply.code);
+    c->pending_replies.push_back(p);
   }
 
-  /// Books the stage record for one dispatched command right after its
-  /// reply was queued; the matching kReplyFlushed / slow-log entry is
-  /// produced by AccountFlushed once the bytes are on the wire.
-  void FinishDispatch(Conn* c, const api::Command& cmd,
-                      const api::Reply& reply, int64_t queue_ns,
+  /// End of an epoll round: one durability call up to the highest gate
+  /// held by this worker's connections — leading a WAL flush or
+  /// following the one in progress — then every held reply goes out in
+  /// order. A gated commit whose record did not become durable (sticky
+  /// WAL error) is answered with that error instead of OK.
+  void ReleaseGated(Worker* w) {
+    if (w->max_gate == kNullLsn) return;
+    const Status durable = log->WaitDurable(w->max_gate);
+    const Lsn durable_lsn = durable.ok() ? w->max_gate : log->durable_lsn();
+    w->max_gate = kNullLsn;
+    for (int fd : w->gated) {
+      auto it = w->conns.find(fd);
+      if (it == w->conns.end()) continue;  // disconnected: nothing acked
+      Conn* c = it->second.get();
+      for (HeldReply& h : c->held) {
+        if (h.gate > durable_lsn) h.reply = api::Reply::FromStatus(durable);
+        QueueReply(c, h.reply, h.stage ? &*h.stage : nullptr);
+      }
+      c->held.clear();
+      FlushOut(w, c);
+    }
+    w->gated.clear();
+  }
+
+  /// Books the stage record for one dispatched command and delivers its
+  /// reply; the matching kReplyFlushed / slow-log entry is produced by
+  /// AccountFlushed once the bytes are on the wire, so a gated reply's
+  /// flush stage includes its durability wait.
+  void FinishDispatch(Worker* w, Conn* c, const api::Command& cmd,
+                      api::Reply reply, Lsn gate, int64_t queue_ns,
                       int64_t execute_ns, uint64_t kernel_tid,
                       int64_t now_ns) {
     if (cmd.trace_id != 0) {
@@ -572,16 +654,14 @@ struct Server::Impl {
                 static_cast<uint64_t>(reply.code));
     }
     PendingReply p;
-    p.out_end = c->out_total_queued;
     p.trace_id = cmd.trace_id;
     p.span_id = cmd.span_id;
     p.kernel_tid = kernel_tid;
     p.tag = static_cast<uint8_t>(cmd.type);
-    p.code = static_cast<uint8_t>(reply.code);
     p.queue_ns = queue_ns;
     p.execute_ns = execute_ns;
     p.enqueued_ns = now_ns;
-    c->pending_replies.push_back(p);
+    Deliver(w, c, std::move(reply), gate, &p);
   }
 
   /// Settles every pending reply whose bytes have fully left the
@@ -640,7 +720,7 @@ struct Server::Impl {
     if (c->pending_out() == 0) {
       c->out.clear();
       c->out_off = 0;
-      if (c->closing) {
+      if (c->closing && c->held.empty()) {
         CloseConn(w, c);
         return false;
       }
@@ -684,9 +764,11 @@ struct Server::Impl {
     w->conns.erase(c->fd);  // destroys the ApiSession -> aborts open txns
   }
 
-  /// Shutdown path: give queued replies one bounded chance to land,
-  /// then close everything (aborting open transactions).
+  /// Shutdown path: resolve every durability gate, give queued replies
+  /// one bounded chance to land, then close everything (aborting open
+  /// transactions).
   void DrainAndCloseAll(Worker* w) {
+    ReleaseGated(w);
     auto deadline = std::chrono::steady_clock::now() + options.drain_timeout;
     bool pending = true;
     while (pending && std::chrono::steady_clock::now() < deadline) {
@@ -849,6 +931,7 @@ Result<std::unique_ptr<Server>> Server::Start(Database* db, Options options) {
   server->impl_ = std::make_unique<Impl>();
   Impl& impl = *server->impl_;
   impl.db = db;
+  impl.log = &LogOf(*db);
   impl.options = options;
   impl.stats = &server->stats_;
   impl.rec = &db->trace_recorder();

@@ -31,10 +31,19 @@
 ///    via ApiSession, so a yanked cable never leaks a lock-holding
 ///    transaction descriptor.
 ///
+///  - Durable acks do not block the loop: a strict commit on a
+///    file-backed database is applied at once and its reply held
+///    behind a durability gate (its commit lsn), with every later reply
+///    of that connection held behind it. After each epoll round the
+///    worker makes one WaitDurable call up to the round's highest gate
+///    (leading or following a WAL flush), then releases the held
+///    replies in order, so one fsync acks every commit of the round
+///    (docs/ROBUSTNESS.md, "The ack rule").
+///
 /// Blocking caveat: a dispatched command runs on the worker thread, so
-/// a long lock wait or strict-durability commit stalls the other
-/// connections of that worker for its duration. Lock and commit
-/// timeouts bound the damage; more workers shrink the blast radius.
+/// a long lock wait stalls the other connections of that worker for its
+/// duration. Lock timeouts and deadlines bound the damage; more workers
+/// shrink the blast radius.
 
 #include <atomic>
 #include <chrono>

@@ -445,6 +445,11 @@ Lsn LogManager::durable_lsn() const {
   return durable_lsn_;
 }
 
+bool LogManager::file_backed() const {
+  std::lock_guard<std::mutex> g(mu_);
+  return fd_ >= 0;
+}
+
 Lsn LogManager::last_checkpoint_lsn() const {
   std::lock_guard<std::mutex> g(mu_);
   return last_checkpoint_;

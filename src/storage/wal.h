@@ -233,6 +233,9 @@ class LogManager {
 
   Lsn last_lsn() const;
   Lsn durable_lsn() const;
+  /// True once AttachFile bound the log to a file: making a record
+  /// durable then costs device I/O (an in-memory log is durable by fiat).
+  bool file_backed() const;
 
   /// Lsn of the most recent durable checkpoint record, or kNullLsn.
   Lsn last_checkpoint_lsn() const;

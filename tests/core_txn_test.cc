@@ -313,7 +313,6 @@ TEST_F(TxnLifecycleTest, ActiveTransactionsCountsBegunOnly) {
   EXPECT_EQ(tm_->ActiveTransactions(), 1u);
   tm_->Commit(t);
   EXPECT_EQ(tm_->ActiveTransactions(), 0u);
-  EXPECT_TRUE(tm_->WaitIdle(std::chrono::milliseconds(1000)));
 }
 
 TEST_F(TxnLifecycleTest, DestructorAbortsStragglers) {

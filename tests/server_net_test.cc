@@ -9,8 +9,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +24,7 @@
 #include "api/command.h"
 #include "api/wire.h"
 #include "client/client.h"
+#include "common/sys_hooks.h"
 #include "common/trace.h"
 #include "core/database.h"
 #include "server/server.h"
@@ -114,11 +120,88 @@ class RawConn {
   bool connected_ = false;
 };
 
+/// An fsync hook that holds the first fsync after Arm() open until
+/// Release(), so a test can look at the server while the WAL flush
+/// behind a gated commit is in progress. `inside` runs on the fsyncing
+/// thread just before it blocks.
+class FsyncLatch {
+ public:
+  FsyncLatch() {
+    hooks_.fsync = [this](int fd) {
+      std::unique_lock<std::mutex> lk(mu_);
+      if (armed_) {
+        armed_ = false;
+        if (inside) inside();
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait_for(lk, std::chrono::seconds(10), [&] { return released_; });
+      }
+      lk.unlock();
+      return ::fsync(fd);
+    };
+  }
+
+  const SysHooks* hooks() const { return &hooks_; }
+
+  void Arm() {
+    std::lock_guard<std::mutex> g(mu_);
+    armed_ = true;
+  }
+  /// True once the armed fsync is being held (false after ~10 s).
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, std::chrono::seconds(10), [&] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> g(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  std::function<void()> inside;
+
+ private:
+  SysHooks hooks_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
 class ServerNetTest : public ::testing::Test {
  protected:
+  void TearDown() override {
+    server_.reset();
+    db_.reset();
+    if (!path_.empty()) RemoveFiles();
+  }
+
   void StartServer(Server::Options opts = {}) {
     db_ = Database::Open().value();
     server_ = Server::Start(db_.get(), opts).value();
+  }
+
+  /// A file-backed strict-durability database: every commit ack waits
+  /// for an fsync. Reopening the same `name` runs recovery.
+  Database::Options DurableOptions(const std::string& name) {
+    path_ = ::testing::TempDir() + "/" + name + ".data";
+    Database::Options o;
+    o.path = path_;
+    o.txn.durability = DurabilityPolicy::kStrict;
+    return o;
+  }
+
+  void StartDurableServer(const std::string& name, Server::Options opts) {
+    Database::Options o = DurableOptions(name);
+    RemoveFiles();
+    db_ = Database::Open(o).value();
+    server_ = Server::Start(db_.get(), opts).value();
+  }
+
+  void RemoveFiles() {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".wal").c_str());
   }
 
   std::unique_ptr<Client> Connect() {
@@ -127,6 +210,7 @@ class ServerNetTest : public ::testing::Test {
 
   std::unique_ptr<Database> db_;
   std::unique_ptr<Server> server_;
+  std::string path_;
 };
 
 TEST_F(ServerNetTest, OptionsValidateRejectsNonsense) {
@@ -535,6 +619,132 @@ TEST_F(ServerNetTest, ManyConnectionsConcurrently) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(commits.load(), kClients * kTxnsEach);
   EXPECT_EQ(db_->ActiveTransactions(), 0u);
+}
+
+// --- Durable acks (docs/ROBUSTNESS.md, "The ack rule") ------------------
+
+TEST_F(ServerNetTest, StrictCommitReplyWaitsForItsFsync) {
+  Server::Options opts;
+  opts.workers = 1;
+  StartDurableServer("asset_net_ack_rule", opts);
+  FsyncLatch latch;
+  ScopedSysHooks guard(latch.hooks());
+  auto c = Connect();
+  Tid t = c->Begin().value();
+  ObjectId oid = c->Create({1}).value();
+  ASSERT_TRUE(c->Put(oid, {2}).ok());
+
+  // Frames are counted when a reply is encoded, bytes once sent.
+  const server::ServerStats& st = server_->stats();
+  const uint64_t frames_before = st.frames_out.load();
+  uint64_t bytes_in_fsync = 0, frames_in_fsync = 0;
+  latch.inside = [&] {
+    bytes_in_fsync = st.bytes_out.load();
+    frames_in_fsync = st.frames_out.load();
+  };
+  latch.Arm();
+  c->Send(Command::Commit());
+  ASSERT_TRUE(c->Flush().ok());
+  ASSERT_TRUE(latch.WaitEntered());
+  // The commit is applied, but its record is not durable yet, so its
+  // reply was not even encoded...
+  EXPECT_EQ(frames_in_fsync, frames_before);
+  EXPECT_TRUE(db_->IsCommitted(t));
+  latch.Release();
+
+  Reply commit = c->Receive().value();
+  EXPECT_EQ(commit.code, StatusCode::kOk) << commit.message;
+  EXPECT_EQ(st.frames_out.load(), frames_before + 1);
+  // ...and every byte of it left the server after the fsync began.
+  std::vector<uint8_t> payload, frame;
+  api::EncodeReply(Reply::FromStatus(Status::OK()), &payload);
+  api::AppendFrame(payload, &frame);
+  EXPECT_TRUE(Eventually([&] {
+    return st.bytes_out.load() == bytes_in_fsync + frame.size();
+  })) << st.bytes_out.load() << " bytes out, " << bytes_in_fsync
+      << " before the fsync";
+  c.reset();
+  server_.reset();  // join all traffic before the hook dies
+  db_.reset();
+}
+
+TEST_F(ServerNetTest, DisconnectWithGatedReplyKeepsTheCommit) {
+  Server::Options opts;
+  opts.workers = 1;
+  StartDurableServer("asset_net_gated_disconnect", opts);
+  ObjectId oid;
+  Tid t;
+  {
+    FsyncLatch latch;
+    ScopedSysHooks guard(latch.hooks());
+    auto c = Connect();
+    ASSERT_TRUE(c->Begin().ok());
+    oid = c->Create({1}).value();
+    ASSERT_TRUE(c->Commit().ok());
+
+    t = c->Begin().value();
+    ASSERT_TRUE(c->Put(oid, {7}).ok());
+    latch.Arm();
+    c->Send(Command::Commit());
+    ASSERT_TRUE(c->Flush().ok());
+    ASSERT_TRUE(latch.WaitEntered());
+    c.reset();  // the client hangs up while its commit reply is gated
+    latch.Release();
+    EXPECT_TRUE(Eventually(
+        [&] { return server_->stats().connections_closed.load() >= 1; }));
+    EXPECT_EQ(server_->stats().txns_aborted_on_close.load(), 0u);
+    EXPECT_TRUE(db_->IsCommitted(t));
+    server_.reset();
+    db_.reset();
+  }
+
+  db_ = Database::Open(DurableOptions("asset_net_gated_disconnect")).value();
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  EXPECT_EQ(txn->Read(oid).value(), std::vector<uint8_t>{7});
+  ASSERT_TRUE(txn->Commit().ok());
+}
+
+TEST_F(ServerNetTest, PipelinedStrictCommitsShareFsyncs) {
+  Server::Options opts;
+  opts.workers = 1;
+  StartDurableServer("asset_net_group_commit", opts);
+  constexpr int kConns = 8, kRounds = 4, kTxnsPerRound = 8;
+  std::vector<std::unique_ptr<Client>> conns;
+  std::vector<ObjectId> oids;
+  for (int i = 0; i < kConns; ++i) {
+    conns.push_back(Connect());
+    ASSERT_TRUE(conns.back()->Begin().ok());
+    oids.push_back(conns.back()->Create({0}).value());
+    ASSERT_TRUE(conns.back()->Commit().ok());
+  }
+
+  const KernelStats::Snapshot before = db_->Stats();
+  for (int r = 0; r < kRounds; ++r) {
+    for (int i = 0; i < kConns; ++i) {
+      for (int k = 0; k < kTxnsPerRound; ++k) {
+        conns[i]->Send(Command::Begin());
+        conns[i]->Send(Command::Put(
+            oids[i], std::vector<uint8_t>{static_cast<uint8_t>(r * 8 + k)}));
+        conns[i]->Send(Command::Commit());
+      }
+      ASSERT_TRUE(conns[i]->Flush().ok());
+    }
+    for (int i = 0; i < kConns; ++i) {
+      for (int k = 0; k < 3 * kTxnsPerRound; ++k) {
+        Reply reply = conns[i]->Receive().value();
+        ASSERT_TRUE(reply.ok()) << reply.message;
+      }
+    }
+  }
+  const KernelStats::Snapshot after = db_->Stats();
+  const uint64_t commits = after.txns_committed - before.txns_committed;
+  const uint64_t fsyncs = after.wal_fsyncs - before.wal_fsyncs;
+  EXPECT_EQ(commits, static_cast<uint64_t>(kConns * kRounds * kTxnsPerRound));
+  // One durability call per epoll round covers every commit the round
+  // applied; an fsync per commit would read fsyncs == commits.
+  EXPECT_LE(fsyncs, commits / 2) << fsyncs << " fsyncs for " << commits
+                                 << " commits";
 }
 
 }  // namespace
