@@ -62,9 +62,11 @@ enum class TraceEventType : uint8_t {
   kAdmission = 14,      ///< admission decision; arg = 0 admitted / 1 shed
   kRpcQueue = 15,       ///< dispatch queue span; dur_ns = time since arrival
   kRpcExecute = 16,     ///< kernel execute span; arg = kernel tid (if any)
-  kReplyEnqueued = 17,  ///< reply bytes queued; arg = status code
+  kReplyEnqueued = 17,  ///< reply queued, or held behind a durability
+                        ///< gate; arg = status code at dispatch
   kReplyFlushed = 18,   ///< reply fully on the wire; arg = status code;
-                        ///< dur_ns = time spent in the outbound buffer
+                        ///< dur_ns = time held plus time in the
+                        ///< outbound buffer
 };
 
 /// True for the network request-stage events (kClientRpc..kReplyFlushed),

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -49,77 +48,78 @@ int SetNonBlocking(int fd) {
   return fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+int64_t Ns(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+}
+
+/// Appends one single-sample Prometheus family: its HELP, TYPE and
+/// sample lines.
+template <typename T>
+void AppendFamily(std::string* out, const char* type, const char* name,
+                  const char* help, T value) {
+  *out += "# HELP ";
+  *out += name;
+  *out += ' ';
+  *out += help;
+  *out += "\n# TYPE ";
+  *out += name;
+  *out += ' ';
+  *out += type;
+  *out += '\n';
+  *out += name;
+  *out += ' ';
+  *out += std::to_string(value);
+  *out += '\n';
+}
+
 }  // namespace
 
 std::string ServerStats::Render() const {
   std::string out;
-  auto emit = [&out](const char* name, const char* help, uint64_t v) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " counter\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(v);
-    out += '\n';
+  auto counter = [&out](const char* name, const char* help,
+                        const std::atomic<uint64_t>& v) {
+    AppendFamily(&out, "counter", name, help,
+                 v.load(std::memory_order_relaxed));
   };
-  emit("asset_server_connections_accepted_total", "Connections accepted.",
-       connections_accepted.load(std::memory_order_relaxed));
-  emit("asset_server_connections_rejected_total",
-       "Connections refused at the max_connections cap.",
-       connections_rejected.load(std::memory_order_relaxed));
-  emit("asset_server_connections_closed_total", "Connections closed.",
-       connections_closed.load(std::memory_order_relaxed));
-  emit("asset_server_frames_in_total", "Request frames decoded.",
-       frames_in.load(std::memory_order_relaxed));
-  emit("asset_server_frames_out_total", "Reply frames sent.",
-       frames_out.load(std::memory_order_relaxed));
-  emit("asset_server_bytes_in_total", "Bytes received.",
-       bytes_in.load(std::memory_order_relaxed));
-  emit("asset_server_bytes_out_total", "Bytes sent.",
-       bytes_out.load(std::memory_order_relaxed));
-  emit("asset_server_protocol_errors_total",
-       "Malformed or oversized frames (each closes its connection).",
-       protocol_errors.load(std::memory_order_relaxed));
-  emit("asset_server_txns_aborted_on_close_total",
-       "Open transactions aborted because their connection went away.",
-       txns_aborted_on_close.load(std::memory_order_relaxed));
-  emit("asset_server_idle_closed_total", "Connections closed as idle.",
-       idle_closed.load(std::memory_order_relaxed));
-  emit("asset_server_backpressure_pauses_total",
-       "Times reading was paused because a send buffer hit its limit.",
-       backpressure_pauses.load(std::memory_order_relaxed));
-  emit("asset_server_admission_shed_total",
-       "Begin commands shed with kOverloaded by admission control.",
-       admission_shed.load(std::memory_order_relaxed));
-  emit("asset_server_deadline_expired_total",
-       "Commands rejected because their deadline expired before dispatch.",
-       deadline_expired.load(std::memory_order_relaxed));
-  emit("asset_server_deadline_timeout_aborts_total",
-       "Commands whose kernel wait hit the deadline (each aborted its "
-       "transaction).",
-       deadline_timeout_aborts.load(std::memory_order_relaxed));
-  auto gauge = [&out](const char* name, const char* help, int64_t v) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " gauge\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(v);
-    out += '\n';
-  };
-  gauge("asset_server_connections_active", "Currently open connections.",
-        connections_active.load(std::memory_order_relaxed));
-  gauge("asset_server_open_txns",
-        "Open transactions across all connections.",
-        open_txns.load(std::memory_order_relaxed));
+  counter("asset_server_connections_accepted_total", "Connections accepted.",
+          connections_accepted);
+  counter("asset_server_connections_rejected_total",
+          "Connections refused at the max_connections cap.",
+          connections_rejected);
+  counter("asset_server_connections_closed_total", "Connections closed.",
+          connections_closed);
+  counter("asset_server_frames_in_total", "Request frames decoded.",
+          frames_in);
+  counter("asset_server_frames_out_total", "Reply frames sent.", frames_out);
+  counter("asset_server_bytes_in_total", "Bytes received.", bytes_in);
+  counter("asset_server_bytes_out_total", "Bytes sent.", bytes_out);
+  counter("asset_server_protocol_errors_total",
+          "Malformed or oversized frames (each closes its connection).",
+          protocol_errors);
+  counter("asset_server_txns_aborted_on_close_total",
+          "Open transactions aborted because their connection went away.",
+          txns_aborted_on_close);
+  counter("asset_server_idle_closed_total", "Connections closed as idle.",
+          idle_closed);
+  counter("asset_server_backpressure_pauses_total",
+          "Times reading was paused because a send buffer hit its limit.",
+          backpressure_pauses);
+  counter("asset_server_admission_shed_total",
+          "Begin commands shed with kOverloaded by admission control.",
+          admission_shed);
+  counter("asset_server_deadline_expired_total",
+          "Commands rejected because their deadline expired before dispatch.",
+          deadline_expired);
+  counter("asset_server_deadline_timeout_aborts_total",
+          "Commands whose kernel wait hit the deadline (each aborted its "
+          "transaction).",
+          deadline_timeout_aborts);
+  AppendFamily(&out, "gauge", "asset_server_connections_active",
+               "Currently open connections.",
+               connections_active.load(std::memory_order_relaxed));
+  AppendFamily(&out, "gauge", "asset_server_open_txns",
+               "Open transactions across all connections.",
+               open_txns.load(std::memory_order_relaxed));
   return out;
 }
 
@@ -166,31 +166,30 @@ Status Server::Options::Validate() const {
 }
 
 struct Server::Impl {
-  /// Stage accounting for one queued reply, matched to its flush by
-  /// cumulative byte position (`out_end` vs Conn::out_total_sent). Once
-  /// flushed, a slow one is kept as is in the slow-request ring
-  /// (kSlowLog's payload).
-  struct PendingReply {
-    uint64_t out_end = 0;     ///< out_total_queued after this reply
+  /// One dispatched command, from decode to settle. It waits in its
+  /// connection's `requests` queue in reply order. Its reply is encoded
+  /// into `out` once no durability gate holds it, and the record is
+  /// settled once those bytes have left the socket. A slow one is kept
+  /// as is in the slow-request ring (kSlowLog's payload).
+  struct Request {
+    /// `out_end` of a record whose reply is not encoded yet.
+    static constexpr uint64_t kHeld = UINT64_MAX;
+
     uint64_t trace_id = 0;    ///< 0 = untraced (no events, still timed)
     uint64_t span_id = 0;
     uint64_t kernel_tid = 0;  ///< resolved kernel tid, if any
-    uint8_t tag = 0;          ///< CommandType
-    uint8_t code = 0;         ///< StatusCode of the reply
-    int64_t queue_ns = 0;
-    int64_t execute_ns = 0;
-    int64_t enqueued_ns = 0;  ///< FlightRecorder::NowNs at enqueue
-    int64_t flush_ns = 0;     ///< set at flush: enqueue to bytes sent
-    int64_t ts_ns = 0;        ///< set at flush: completion, trace clock
-  };
-
-  /// A reply that may not be sent yet: either a strict commit's, gated
-  /// on its commit record becoming durable, or any reply queued behind
-  /// one on the same connection (replies never overtake each other).
-  struct HeldReply {
-    api::Reply reply;
-    Lsn gate = kNullLsn;  ///< kNullLsn: only ordered behind a gated one
-    std::optional<PendingReply> stage;  ///< booked once the reply is queued
+    uint8_t tag = 0;          ///< CommandType; 0 = protocol error (untimed)
+    uint8_t code = 0;         ///< StatusCode of the reply, set at encode
+    bool shed = false;        ///< a Begin shed by admission: no execute
+    int64_t queue_ns = 0;     ///< batch arrival to dispatch
+    int64_t execute_ns = 0;   ///< dispatch to `enqueued`
+    int64_t flush_ns = 0;     ///< set at settle: `enqueued` to bytes sent
+    int64_t ts_ns = 0;        ///< set when captured as slow: trace clock
+    /// The post-execute stamp: queued, or held behind a gate.
+    std::chrono::steady_clock::time_point enqueued;
+    api::Reply reply;          ///< moved out when encoded
+    Lsn gate = kNullLsn;       ///< durability gate; kNullLsn = none
+    uint64_t out_end = kHeld;  ///< out_total_queued after its frame
   };
 
   /// Per-command-tag stage latencies (recorded for every request,
@@ -216,28 +215,28 @@ struct Server::Impl {
     /// Encoded-but-unsent reply bytes; `out_off` is the sent prefix.
     std::vector<uint8_t> out;
     size_t out_off = 0;
-    bool want_write = false;
     bool read_paused = false;
-    /// Close once `out` is flushed (set after a protocol error).
+    /// Close once every reply is sent (set after a protocol error).
     bool closing = false;
     std::chrono::steady_clock::time_point last_activity;
     /// When the bytes of the batch being dispatched were received;
     /// anchors deadline budgets and measures dispatch lag, so commands
     /// queued behind a slow batch-mate are charged for the wait.
     std::chrono::steady_clock::time_point batch_arrival;
-    /// batch_arrival on the trace clock (set together with it).
-    int64_t batch_arrival_ns = 0;
-    /// Stage accounting, one entry per dispatched command, in reply
-    /// order; cumulative byte counters survive `out` compaction.
-    std::deque<PendingReply> pending_replies;
+    /// Every dispatched command whose reply has not fully left the
+    /// socket, in reply order. The held ones (not yet encoded) are
+    /// always a suffix, headed by a gated one; ReleaseGated encodes
+    /// them at the end of the round. Cumulative byte counters survive
+    /// `out` compaction.
+    std::deque<Request> requests;
     uint64_t out_total_queued = 0;
     uint64_t out_total_sent = 0;
-    /// Replies not yet encoded into `out`, in reply order; the first is
-    /// always gated. Released by ReleaseGated at the end of the round.
-    std::vector<HeldReply> held;
 
     size_t pending_out() const { return out.size() - out_off; }
     size_t pending_in() const { return in.size() - in_off; }
+    bool holding() const {
+      return !requests.empty() && requests.back().out_end == Request::kHeld;
+    }
   };
 
   struct Worker {
@@ -267,7 +266,7 @@ struct Server::Impl {
   StageHistograms stage_hist[kNumTags];
   /// Slow-request ring (any worker may append; kSlowLog reads).
   mutable std::mutex slow_mu;
-  std::vector<PendingReply> slow_ring;
+  std::vector<Request> slow_ring;
   size_t slow_next = 0;
   uint64_t slow_total = 0;
   int listen_fd = -1;
@@ -438,7 +437,6 @@ struct Server::Impl {
     }
     c->last_activity = std::chrono::steady_clock::now();
     c->batch_arrival = c->last_activity;
-    c->batch_arrival_ns = FlightRecorder::NowNs();
     ProcessFrames(w, c);
     if (eof && !c->closing) {
       // Whatever remains buffered is (at most) a truncated frame; the
@@ -450,7 +448,7 @@ struct Server::Impl {
     if (w->conns.count(c->fd) == 0) return;  // closed during processing
     // A connection holding gated replies is flushed by ReleaseGated at
     // the end of this round: one send for all of its replies.
-    if (c->held.empty()) FlushOut(w, c);
+    if (!c->holding()) FlushOut(w, c);
   }
 
   /// Decodes and dispatches every complete frame in `c->in`, queueing
@@ -464,67 +462,61 @@ struct Server::Impl {
           api::TrySplitFrame(buffered, options.max_frame_bytes, &payload);
       if (split == api::FrameSplit::kNeedMore) break;
       if (split == api::FrameSplit::kOversized) {
-        stats->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        Deliver(w, c, api::Reply::FromStatus(Status::InvalidArgument(
-                          "frame: length 0 or above max_frame_bytes")));
-        c->closing = true;
+        RejectFrame(w, c, Status::InvalidArgument(
+                              "frame: length 0 or above max_frame_bytes"));
         break;
       }
       auto cmd = api::DecodeCommand(payload);
       c->in_off += api::kFrameHeaderBytes + payload.size();
       stats->frames_in.fetch_add(1, std::memory_order_relaxed);
       if (!cmd.ok()) {
-        stats->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        Deliver(w, c, api::Reply::FromStatus(cmd.status()));
-        c->closing = true;
+        RejectFrame(w, c, cmd.status());
         break;
       }
-      const uint64_t trace = cmd->trace_id;
-      const uint64_t span = cmd->span_id;
-      const uint8_t tag = static_cast<uint8_t>(cmd->type);
-      // Stage clock: one read here (ends the queue span, starts
+      Request r;
+      r.trace_id = cmd->trace_id;
+      r.span_id = cmd->span_id;
+      r.tag = static_cast<uint8_t>(cmd->type);
+      // Stage clock: one read here (ends the queue stage, starts
       // execute) and one after Execute. Untraced commands skip the
-      // Emits but still feed the per-tag histograms.
-      const int64_t t_dispatch = FlightRecorder::NowNs();
-      const int64_t queue_ns = t_dispatch - c->batch_arrival_ns;
-      if (trace != 0) {
-        rec->Emit(TraceEventType::kFrameDecoded, trace, span, tag);
-        rec->Emit(TraceEventType::kRpcQueue, trace, span, tag, 0, queue_ns);
+      // Emits but are still timed.
+      const auto dispatched = std::chrono::steady_clock::now();
+      const auto lag = dispatched - c->batch_arrival;
+      r.queue_ns = Ns(lag);
+      if (r.trace_id != 0) {
+        rec->Emit(TraceEventType::kFrameDecoded, r.trace_id, r.span_id, r.tag);
+        rec->Emit(TraceEventType::kRpcQueue, r.trace_id, r.span_id, r.tag, 0,
+                  r.queue_ns);
       }
       if (cmd->type == api::CommandType::kBegin) {
-        auto lag = std::chrono::steady_clock::now() - c->batch_arrival;
-        if (Overloaded(lag)) {
-          stats->admission_shed.fetch_add(1, std::memory_order_relaxed);
-          if (trace != 0) {
-            rec->Emit(TraceEventType::kAdmission, trace, span, tag, 1);
-          }
-          stage_hist[tag].queue.Record(static_cast<uint64_t>(queue_ns));
-          FinishDispatch(w, c, *cmd, ShedReply(lag), kNullLsn, queue_ns,
-                         /*execute_ns=*/0, /*kernel_tid=*/0, t_dispatch);
-          continue;
+        r.shed = Overloaded(lag);
+        if (r.trace_id != 0) {
+          rec->Emit(TraceEventType::kAdmission, r.trace_id, r.span_id, r.tag,
+                    r.shed);
         }
-        if (trace != 0) {
-          rec->Emit(TraceEventType::kAdmission, trace, span, tag, 0);
+        if (r.shed) {
+          stats->admission_shed.fetch_add(1, std::memory_order_relaxed);
+          r.enqueued = dispatched;
+          r.reply = ShedReply(lag);
+          Deliver(w, c, std::move(r));
+          continue;
         }
       }
       auto dl_before = c->session.deadline_stats();
       size_t txns_before = c->session.open_txns();
-      Lsn gate = kNullLsn;
-      api::Reply reply = c->session.Execute(*cmd, c->batch_arrival, &gate);
-      const int64_t t_done = FlightRecorder::NowNs();
-      const int64_t execute_ns = t_done - t_dispatch;
+      r.reply = c->session.Execute(*cmd, c->batch_arrival, &r.gate);
+      r.enqueued = std::chrono::steady_clock::now();
+      r.execute_ns = Ns(r.enqueued - dispatched);
       // The kernel tid bridges the wire trace to kernel events (lock
       // waits, WAL appends) emitted under that transaction.
-      uint64_t kernel_tid = c->session.current();
-      if (cmd->type == api::CommandType::kBegin && reply.ok()) {
-        kernel_tid = reply.u64;
+      r.kernel_tid = c->session.current();
+      if (cmd->type == api::CommandType::kBegin && r.reply.ok()) {
+        r.kernel_tid = r.reply.u64;
       }
-      if (trace != 0) {
-        rec->Emit(TraceEventType::kRpcExecute, trace, span, tag, kernel_tid,
-                  execute_ns);
+      if (r.trace_id != 0) {
+        rec->Emit(TraceEventType::kRpcExecute, r.trace_id, r.span_id, r.tag,
+                  r.kernel_tid, r.execute_ns);
       }
-      stage_hist[tag].queue.Record(static_cast<uint64_t>(queue_ns));
-      stage_hist[tag].execute.Record(static_cast<uint64_t>(execute_ns));
       auto dl_after = c->session.deadline_stats();
       stats->deadline_expired.fetch_add(
           dl_after.expired_rejects - dl_before.expired_rejects,
@@ -536,14 +528,13 @@ struct Server::Impl {
           static_cast<int64_t>(c->session.open_txns()) -
               static_cast<int64_t>(txns_before),
           std::memory_order_relaxed);
-      if (cmd->type == api::CommandType::kMetrics && reply.ok()) {
-        reply.text += stats->Render() + RenderExtraMetrics();
+      if (cmd->type == api::CommandType::kMetrics && r.reply.ok()) {
+        r.reply.text += stats->Render() + RenderExtraMetrics();
       }
-      if (cmd->type == api::CommandType::kSlowLog && reply.ok()) {
-        reply.text = RenderSlowLogJson();
+      if (cmd->type == api::CommandType::kSlowLog && r.reply.ok()) {
+        r.reply.text = RenderSlowLogJson();
       }
-      FinishDispatch(w, c, *cmd, std::move(reply), gate, queue_ns,
-                     execute_ns, kernel_tid, FlightRecorder::NowNs());
+      Deliver(w, c, std::move(r));
     }
     // Lazy compaction: drop the consumed prefix once it dominates.
     if (c->in_off > 0 &&
@@ -552,6 +543,17 @@ struct Server::Impl {
                   c->in.begin() + static_cast<ptrdiff_t>(c->in_off));
       c->in_off = 0;
     }
+  }
+
+  /// Answers a frame the stream cannot recover from; the connection
+  /// closes once that reply is sent. There is no command, so the
+  /// request is not timed.
+  void RejectFrame(Worker* w, Conn* c, const Status& s) {
+    stats->protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    Request r;
+    r.reply = api::Reply::FromStatus(s);
+    Deliver(w, c, std::move(r));
+    c->closing = true;
   }
 
   /// The admission controller's overload predicate for new Begins.
@@ -581,39 +583,37 @@ struct Server::Impl {
     return r;
   }
 
-  /// Queues `reply` for sending — or holds it, if `gate` is set or an
-  /// earlier reply of `c` is held — with `stage` (if any) booked once
-  /// its bytes are queued.
-  void Deliver(Worker* w, Conn* c, api::Reply reply, Lsn gate = kNullLsn,
-               const PendingReply* stage = nullptr) {
-    if (gate == kNullLsn && c->held.empty()) {
-      QueueReply(c, reply, stage);
-      return;
+  /// Queues `r` on its connection. Its reply is encoded into `c->out`
+  /// at once, unless a durability gate holds it or a held reply is ahead
+  /// of it: replies never overtake each other.
+  void Deliver(Worker* w, Conn* c, Request r) {
+    if (r.trace_id != 0) {
+      rec->Emit(TraceEventType::kReplyEnqueued, r.trace_id, r.span_id, r.tag,
+                static_cast<uint64_t>(r.reply.code));
     }
-    if (gate != kNullLsn) {
-      w->max_gate = std::max(w->max_gate, gate);
-      if (c->held.empty()) w->gated.push_back(c->fd);
+    const bool behind = c->holding();
+    if (r.gate != kNullLsn) {
+      w->max_gate = std::max(w->max_gate, r.gate);
+      if (!behind) w->gated.push_back(c->fd);
     }
-    HeldReply h{std::move(reply), gate, std::nullopt};
-    if (stage != nullptr) h.stage = *stage;
-    c->held.push_back(std::move(h));
+    c->requests.push_back(std::move(r));
+    if (!behind && c->requests.back().gate == kNullLsn) {
+      Encode(c, c->requests.back());
+    }
   }
 
-  /// Encodes `reply` into `c->out`, booking `stage` (if any) at the
-  /// reply's end byte.
-  void QueueReply(Conn* c, const api::Reply& reply,
-                  const PendingReply* stage) {
+  /// Encodes `r`'s reply into `c->out` and drops the reply: from here on
+  /// the record needs only its end byte and status code.
+  void Encode(Conn* c, Request& r) {
+    const api::Reply reply = std::move(r.reply);
     const size_t before = c->out.size();
     std::vector<uint8_t> payload;
     api::EncodeReply(reply, &payload);
     api::AppendFrame(payload, &c->out);
     c->out_total_queued += c->out.size() - before;
+    r.out_end = c->out_total_queued;
+    r.code = static_cast<uint8_t>(reply.code);
     stats->frames_out.fetch_add(1, std::memory_order_relaxed);
-    if (stage == nullptr) return;
-    PendingReply p = *stage;
-    p.out_end = c->out_total_queued;
-    p.code = static_cast<uint8_t>(reply.code);
-    c->pending_replies.push_back(p);
   }
 
   /// End of an epoll round: one durability call up to the highest gate
@@ -630,77 +630,58 @@ struct Server::Impl {
       auto it = w->conns.find(fd);
       if (it == w->conns.end()) continue;  // disconnected: nothing acked
       Conn* c = it->second.get();
-      for (HeldReply& h : c->held) {
-        if (h.gate > durable_lsn) h.reply = api::Reply::FromStatus(durable);
-        QueueReply(c, h.reply, h.stage ? &*h.stage : nullptr);
+      for (Request& r : c->requests) {
+        if (r.out_end != Request::kHeld) continue;
+        if (r.gate > durable_lsn) r.reply = api::Reply::FromStatus(durable);
+        Encode(c, r);
       }
-      c->held.clear();
       FlushOut(w, c);
     }
     w->gated.clear();
   }
 
-  /// Books the stage record for one dispatched command and delivers its
-  /// reply; the matching kReplyFlushed / slow-log entry is produced by
-  /// AccountFlushed once the bytes are on the wire, so a gated reply's
-  /// flush stage includes its durability wait.
-  void FinishDispatch(Worker* w, Conn* c, const api::Command& cmd,
-                      api::Reply reply, Lsn gate, int64_t queue_ns,
-                      int64_t execute_ns, uint64_t kernel_tid,
-                      int64_t now_ns) {
-    if (cmd.trace_id != 0) {
-      rec->Emit(TraceEventType::kReplyEnqueued, cmd.trace_id, cmd.span_id,
-                static_cast<uint8_t>(cmd.type),
-                static_cast<uint64_t>(reply.code));
-    }
-    PendingReply p;
-    p.trace_id = cmd.trace_id;
-    p.span_id = cmd.span_id;
-    p.kernel_tid = kernel_tid;
-    p.tag = static_cast<uint8_t>(cmd.type);
-    p.queue_ns = queue_ns;
-    p.execute_ns = execute_ns;
-    p.enqueued_ns = now_ns;
-    Deliver(w, c, std::move(reply), gate, &p);
-  }
-
-  /// Settles every pending reply whose bytes have fully left the
-  /// socket: records the flush histogram, emits kReplyFlushed, and
-  /// captures a slow-log entry when the stage total crosses the
-  /// threshold. Called after every successful send.
-  void AccountFlushed(Conn* c) {
-    const int64_t threshold_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            options.slow_request_threshold)
-            .count();
-    while (!c->pending_replies.empty() &&
-           c->pending_replies.front().out_end <= c->out_total_sent) {
-      PendingReply p = c->pending_replies.front();
-      c->pending_replies.pop_front();
-      p.ts_ns = FlightRecorder::NowNs();
-      p.flush_ns = p.ts_ns - p.enqueued_ns;
-      stage_hist[p.tag].flush.Record(static_cast<uint64_t>(p.flush_ns));
-      if (p.trace_id != 0) {
-        rec->Emit(TraceEventType::kReplyFlushed, p.trace_id, p.span_id,
-                  p.tag, p.code, p.flush_ns);
+  /// Settles every request whose reply bytes have all left the socket:
+  /// records its queue, execute and flush samples, emits kReplyFlushed,
+  /// and keeps it in the slow-request ring when its stage total meets
+  /// the threshold. A request is counted here or never, so a tag's
+  /// three stage histograms count the same requests (a shed Begin has
+  /// no execute sample). Called after every successful send.
+  void Settle(Conn* c) {
+    const auto now = std::chrono::steady_clock::now();
+    const int64_t threshold_ns = Ns(options.slow_request_threshold);
+    while (!c->requests.empty() &&
+           c->requests.front().out_end <= c->out_total_sent) {
+      Request r = std::move(c->requests.front());
+      c->requests.pop_front();
+      if (r.tag == 0) continue;  // protocol error
+      r.flush_ns = Ns(now - r.enqueued);
+      StageHistograms& h = stage_hist[r.tag];
+      h.queue.Record(static_cast<uint64_t>(r.queue_ns));
+      if (!r.shed) h.execute.Record(static_cast<uint64_t>(r.execute_ns));
+      h.flush.Record(static_cast<uint64_t>(r.flush_ns));
+      if (r.trace_id != 0) {
+        rec->Emit(TraceEventType::kReplyFlushed, r.trace_id, r.span_id, r.tag,
+                  r.code, r.flush_ns);
       }
-      if (threshold_ns > 0 &&
-          p.queue_ns + p.execute_ns + p.flush_ns >= threshold_ns) {
-        std::lock_guard<std::mutex> g(slow_mu);
-        if (slow_ring.size() < options.slow_log_slots) {
-          slow_ring.push_back(p);
-        } else {
-          slow_ring[slow_next] = p;
-        }
-        slow_next = (slow_next + 1) % options.slow_log_slots;
-        ++slow_total;
+      if (threshold_ns == 0 ||
+          r.queue_ns + r.execute_ns + r.flush_ns < threshold_ns) {
+        continue;
       }
+      r.ts_ns = FlightRecorder::NowNs();
+      std::lock_guard<std::mutex> g(slow_mu);
+      if (slow_ring.size() < options.slow_log_slots) {
+        slow_ring.push_back(std::move(r));
+      } else {
+        slow_ring[slow_next] = std::move(r);
+      }
+      slow_next = (slow_next + 1) % options.slow_log_slots;
+      ++slow_total;
     }
   }
 
-  /// Writes as much of `c->out` as the socket takes. Returns false if
-  /// the connection was closed.
-  bool FlushOut(Worker* w, Conn* c) {
+  /// Sends as much of `c->out` as the socket takes, settling what left.
+  /// Returns false on a send error; EAGAIN is not one.
+  bool Send(Conn* c) {
     while (c->pending_out() > 0) {
       ssize_t sent = SysSend(c->fd, c->out.data() + c->out_off,
                              c->pending_out(), MSG_NOSIGNAL);
@@ -709,18 +690,27 @@ struct Server::Impl {
         c->out_total_sent += static_cast<uint64_t>(sent);
         stats->bytes_out.fetch_add(static_cast<uint64_t>(sent),
                                    std::memory_order_relaxed);
-        AccountFlushed(c);
+        Settle(c);
         continue;
       }
       if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (sent < 0 && errno == EINTR) continue;
+      return false;
+    }
+    return true;
+  }
+
+  /// Sends what `c` has queued and updates its epoll interest. Returns
+  /// false if the connection was closed.
+  bool FlushOut(Worker* w, Conn* c) {
+    if (!Send(c)) {
       CloseConn(w, c);
       return false;
     }
     if (c->pending_out() == 0) {
       c->out.clear();
       c->out_off = 0;
-      if (c->closing && c->held.empty()) {
+      if (c->closing && !c->holding()) {
         CloseConn(w, c);
         return false;
       }
@@ -774,17 +764,8 @@ struct Server::Impl {
     while (pending && std::chrono::steady_clock::now() < deadline) {
       pending = false;
       for (auto& [fd, conn] : w->conns) {
-        if (conn->pending_out() == 0) continue;
-        ssize_t sent = SysSend(fd, conn->out.data() + conn->out_off,
-                               conn->pending_out(), MSG_NOSIGNAL);
-        if (sent > 0) {
-          conn->out_off += static_cast<size_t>(sent);
-          conn->out_total_sent += static_cast<uint64_t>(sent);
-          stats->bytes_out.fetch_add(static_cast<uint64_t>(sent),
-                                     std::memory_order_relaxed);
-          AccountFlushed(conn.get());
-        }
-        if (conn->pending_out() > 0) pending = true;
+        // A connection whose send failed has nothing more to wait for.
+        if (Send(conn.get()) && conn->pending_out() > 0) pending = true;
       }
       if (pending) std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -840,48 +821,33 @@ struct Server::Impl {
       summary(name, "execute", h.execute);
       summary(name, "flush", h.flush);
     }
-    auto gauge = [&out](const char* name, const char* help, int64_t v) {
-      out += "# HELP ";
-      out += name;
-      out += ' ';
-      out += help;
-      out += "\n# TYPE ";
-      out += name;
-      out += " gauge\n";
-      out += name;
-      out += ' ';
-      out += std::to_string(v);
-      out += '\n';
-    };
-    gauge("asset_server_trace_enabled",
-          "Whether the flight recorder is recording (1) or not (0).",
-          rec->enabled() ? 1 : 0);
-    gauge("asset_server_trace_ring_slots",
-          "Event slots per per-thread flight-recorder ring.",
-          static_cast<int64_t>(rec->ring_slots()));
-    gauge("asset_server_trace_rings",
-          "Per-thread flight-recorder rings created so far.",
-          static_cast<int64_t>(rec->ring_count()));
-    gauge("asset_server_slow_request_threshold_ms",
-          "Slow-request capture threshold in milliseconds (0 = off).",
-          options.slow_request_threshold.count());
+    AppendFamily(&out, "gauge", "asset_server_trace_enabled",
+                 "Whether the flight recorder is recording (1) or not (0).",
+                 rec->enabled() ? 1 : 0);
+    AppendFamily(&out, "gauge", "asset_server_trace_ring_slots",
+                 "Event slots per per-thread flight-recorder ring.",
+                 static_cast<int64_t>(rec->ring_slots()));
+    AppendFamily(&out, "gauge", "asset_server_trace_rings",
+                 "Per-thread flight-recorder rings created so far.",
+                 static_cast<int64_t>(rec->ring_count()));
+    AppendFamily(&out, "gauge", "asset_server_slow_request_threshold_ms",
+                 "Slow-request capture threshold in milliseconds (0 = off).",
+                 options.slow_request_threshold.count());
     uint64_t total;
     {
       std::lock_guard<std::mutex> g(slow_mu);
       total = slow_total;
     }
-    out +=
-        "# HELP asset_server_slow_requests_total Requests whose "
-        "queue+execute+flush total met the slow-request threshold.\n"
-        "# TYPE asset_server_slow_requests_total counter\n"
-        "asset_server_slow_requests_total " +
-        std::to_string(total) + '\n';
+    AppendFamily(&out, "counter", "asset_server_slow_requests_total",
+                 "Requests whose queue+execute+flush total met the "
+                 "slow-request threshold.",
+                 total);
     return out;
   }
 
   /// The slow-request ring as JSON, oldest entry first.
   std::string RenderSlowLogJson() const {
-    std::vector<PendingReply> entries;
+    std::vector<Request> entries;
     uint64_t total;
     {
       std::lock_guard<std::mutex> g(slow_mu);
@@ -899,7 +865,7 @@ struct Server::Impl {
                       ",\"total\":" + std::to_string(total) +
                       ",\"slow_requests\":[";
     bool first = true;
-    for (const PendingReply& s : entries) {
+    for (const Request& s : entries) {
       if (!first) out.push_back(',');
       first = false;
       out += "{\"trace_id\":" + std::to_string(s.trace_id) +

@@ -31,14 +31,19 @@
 ///    via ApiSession, so a yanked cable never leaks a lock-holding
 ///    transaction descriptor.
 ///
+///  - Each dispatched command has one record in its connection's
+///    request queue, from decode until its reply bytes leave the
+///    socket. When it settles, it feeds the stage histograms, the
+///    reply_flushed trace span and the slow log.
 ///  - Durable acks do not block the loop: a strict commit on a
 ///    file-backed database is applied at once and its reply held
-///    behind a durability gate (its commit lsn), with every later reply
-///    of that connection held behind it. After each epoll round the
-///    worker makes one WaitDurable call up to the round's highest gate
-///    (leading or following a WAL flush), then releases the held
-///    replies in order, so one fsync acks every commit of the round
-///    (docs/ROBUSTNESS.md, "The ack rule").
+///    unencoded in the request queue behind a durability gate (its
+///    commit lsn), with every later reply of that connection held
+///    behind it. After each epoll round the worker makes one
+///    WaitDurable call up to the round's highest gate (leading or
+///    following a WAL flush), then encodes the held replies in order,
+///    so one fsync acks every commit of the round (docs/ROBUSTNESS.md,
+///    "The ack rule").
 ///
 /// Blocking caveat: a dispatched command runs on the worker thread, so
 /// a long lock wait stalls the other connections of that worker for its

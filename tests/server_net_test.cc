@@ -27,6 +27,7 @@
 #include "common/sys_hooks.h"
 #include "common/trace.h"
 #include "core/database.h"
+#include "json_lite.h"
 #include "server/server.h"
 
 namespace asset {
@@ -87,25 +88,29 @@ class RawConn {
     SendFrame(payload);
   }
 
-  /// Reads one reply frame (blocking); nullopt on EOF/error.
+  /// Reads one reply frame (blocking); nullopt on EOF/error. Bytes of
+  /// later frames that arrived with it are kept for the next call.
   std::optional<Reply> ReadReply() {
-    std::vector<uint8_t> buf;
     for (;;) {
       std::span<const uint8_t> payload;
-      if (api::TrySplitFrame(buf, 1 << 20, &payload) ==
+      if (api::TrySplitFrame(buf_, 1 << 20, &payload) ==
           api::FrameSplit::kFrame) {
         auto r = api::DecodeReply(payload);
+        buf_.erase(buf_.begin(),
+                   buf_.begin() + static_cast<ptrdiff_t>(
+                                      api::kFrameHeaderBytes + payload.size()));
         if (!r.ok()) return std::nullopt;
         return *r;
       }
       uint8_t chunk[4096];
       ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
       if (n <= 0) return std::nullopt;
-      buf.insert(buf.end(), chunk, chunk + n);
+      buf_.insert(buf_.end(), chunk, chunk + n);
     }
   }
 
-  /// True once the server has closed this connection (recv sees EOF).
+  /// True once the server has closed this connection (recv sees EOF);
+  /// unread reply bytes are discarded.
   bool WaitForClose() {
     for (;;) {
       uint8_t chunk[4096];
@@ -118,6 +123,7 @@ class RawConn {
  private:
   int fd_ = -1;
   bool connected_ = false;
+  std::vector<uint8_t> buf_;  ///< received bytes not yet read as a reply
 };
 
 /// An fsync hook that holds the first fsync after Arm() open until
@@ -745,6 +751,141 @@ TEST_F(ServerNetTest, PipelinedStrictCommitsShareFsyncs) {
   // applied; an fsync per commit would read fsyncs == commits.
   EXPECT_LE(fsyncs, commits / 2) << fsyncs << " fsyncs for " << commits
                                  << " commits";
+}
+
+TEST_F(ServerNetTest, ProtocolErrorWaitsBehindAGatedReply) {
+  Server::Options opts;
+  opts.workers = 1;
+  StartDurableServer("asset_net_gated_protocol_error", opts);
+  ObjectId oid;
+  Tid t;
+  {
+    FsyncLatch latch;
+    ScopedSysHooks guard(latch.hooks());
+    RawConn raw(server_->port());
+    raw.SendCommand(Command::Hello());
+    ASSERT_TRUE(raw.ReadReply().has_value());
+    raw.SendCommand(Command::Begin());
+    ASSERT_TRUE(raw.ReadReply().value().ok());
+    raw.SendCommand(Command::Create(std::vector<uint8_t>{1}));
+    oid = raw.ReadReply().value().u64;
+    raw.SendCommand(Command::Commit());
+    ASSERT_TRUE(raw.ReadReply().value().ok());
+
+    // One send: a strict commit's transaction, then a garbage frame.
+    const server::ServerStats& st = server_->stats();
+    const uint64_t frames_before = st.frames_out.load();
+    uint64_t frames_in_fsync = 0;
+    latch.inside = [&] { frames_in_fsync = st.frames_out.load(); };
+    std::vector<uint8_t> batch, payload;
+    for (const Command& cmd :
+         {Command::Begin(), Command::Put(oid, std::vector<uint8_t>{7}),
+          Command::Commit()}) {
+      payload.clear();
+      api::EncodeCommand(cmd, &payload);
+      api::AppendFrame(payload, &batch);
+    }
+    api::AppendFrame(std::vector<uint8_t>{0xFF, 0xEE, 0xDD}, &batch);
+    latch.Arm();
+    raw.SendBytes(batch);
+    ASSERT_TRUE(latch.WaitEntered());
+    // Begin's and Put's replies are encoded; the commit's is held by its
+    // gate, and the error reply behind it.
+    EXPECT_EQ(frames_in_fsync, frames_before + 2);
+    latch.Release();
+
+    auto begin = raw.ReadReply();
+    ASSERT_TRUE(begin.has_value() && begin->ok());
+    t = begin->u64;
+    auto put = raw.ReadReply();
+    ASSERT_TRUE(put.has_value() && put->ok());
+    auto commit = raw.ReadReply();
+    ASSERT_TRUE(commit.has_value());
+    EXPECT_EQ(commit->code, StatusCode::kOk) << commit->message;
+    auto error = raw.ReadReply();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, StatusCode::kInvalidArgument) << error->message;
+    EXPECT_TRUE(raw.WaitForClose());
+    EXPECT_TRUE(db_->IsCommitted(t));
+    server_.reset();  // join all traffic before the hook dies
+    db_.reset();
+  }
+
+  db_ = Database::Open(DurableOptions("asset_net_gated_protocol_error"))
+            .value();
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  EXPECT_EQ(txn->Read(oid).value(), std::vector<uint8_t>{7});
+  ASSERT_TRUE(txn->Commit().ok());
+}
+
+/// The `_count` sample of one stage summary in a metrics text; -1 if
+/// the summary is absent.
+int64_t StageCount(const std::string& metrics, const std::string& command,
+                   const std::string& stage) {
+  const std::string needle = "asset_server_stage_ns_count{command=\"" +
+                             command + "\",stage=\"" + stage + "\"} ";
+  const size_t pos = metrics.find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::stoll(metrics.substr(pos + needle.size()));
+}
+
+TEST_F(ServerNetTest, GatedCommitsFlushStageCoversItsHold) {
+  Server::Options opts;
+  opts.workers = 1;
+  opts.slow_request_threshold = std::chrono::milliseconds(20);
+  StartDurableServer("asset_net_gated_slow", opts);
+  FsyncLatch latch;
+  ScopedSysHooks guard(latch.hooks());
+  auto c = Connect();
+  ASSERT_TRUE(c->Begin().ok());
+  ObjectId oid = c->Create({1}).value();
+  ASSERT_TRUE(c->Put(oid, {2}).ok());
+
+  latch.Arm();
+  c->Send(Command::Commit());
+  ASSERT_TRUE(c->Flush().ok());
+  ASSERT_TRUE(latch.WaitEntered());
+  const auto held_from = std::chrono::steady_clock::now();
+  // A held commit is not counted in any stage yet.
+  const std::string during = server_->MetricsText();
+  for (const char* stage : {"queue", "execute", "flush"}) {
+    EXPECT_EQ(StageCount(during, "commit", stage), -1) << stage;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  const int64_t hold_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - held_from)
+          .count();
+  latch.Release();
+  ASSERT_TRUE(c->Receive().value().ok());
+
+  // The commit is settled, and so captured, once its reply bytes left
+  // the socket, which can trail the client's Receive by a beat.
+  const testjson::Value* commit = nullptr;
+  testjson::Value log;
+  ASSERT_TRUE(Eventually([&] {
+    if (!testjson::ParseJson(server_->SlowLogJson(), &log)) return false;
+    for (const testjson::Value& entry : log.Find("slow_requests")->arr) {
+      if (entry.Find("command")->str == "commit") commit = &entry;
+    }
+    return commit != nullptr;
+  }));
+  EXPECT_EQ(commit->Find("outcome")->str, "OK");
+  EXPECT_GE(commit->Find("flush_ns")->number, static_cast<double>(hold_ns));
+
+  // No Begin was shed, so every command's three stages counted the same
+  // requests: each is counted once its reply reached the socket.
+  const std::string metrics = server_->MetricsText();
+  for (const char* command : {"hello", "begin", "create", "put", "commit"}) {
+    const int64_t queue = StageCount(metrics, command, "queue");
+    EXPECT_GE(queue, 1) << command;
+    EXPECT_EQ(StageCount(metrics, command, "execute"), queue) << command;
+    EXPECT_EQ(StageCount(metrics, command, "flush"), queue) << command;
+  }
+  c.reset();
+  server_.reset();  // join all traffic before the hook dies
+  db_.reset();
 }
 
 }  // namespace
